@@ -370,14 +370,16 @@ class ProbabilityAssignment:
 
     ``P_ic`` is built by :func:`induced_point_space` and cached.  Because a
     uniform assignment reuses the same sample at every member point, spaces
-    are cached by ``(agent, sample)`` rather than ``(agent, point)``.
+    are cached by ``(agent, T(c), sample)`` rather than ``(agent, point)``;
+    the tree is part of the key because REQ1 checks the sample against
+    ``T(c)``, so a point of another tree must not reuse a space that passed.
     """
 
     def __init__(self, ssa: SampleSpaceAssignment, name: Optional[str] = None) -> None:
         self.ssa = ssa
         self.psys = ssa.psys
         self.name = name or ssa.name
-        self._space_cache: Dict[Tuple[int, PointSet], FiniteProbabilitySpace] = {}
+        self._space_cache: Dict[Tuple[int, Hashable, PointSet], FiniteProbabilitySpace] = {}
         self._event_cache: Dict[Tuple[Fact, PointSet], PointSet] = {}
 
     # -- spaces ----------------------------------------------------------
@@ -389,7 +391,7 @@ class ProbabilityAssignment:
     def space(self, agent: int, point: Point) -> FiniteProbabilitySpace:
         """``P_ic = (S_ic, X_ic, mu_ic)``."""
         sample = self.ssa.sample_space(agent, point)
-        key = (agent, sample)
+        key = (agent, self.psys.adversary_of(point), sample)
         if key not in self._space_cache:
             self._space_cache[key] = induced_point_space(self.psys, point, sample)
         return self._space_cache[key]

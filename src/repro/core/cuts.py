@@ -25,8 +25,9 @@ is the inner measure of the region and the supremum is the outer measure.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import product
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
 from ..errors import AssignmentError
 from ..probability.fractionutil import ONE, ZERO
@@ -170,20 +171,11 @@ def interval_over_banded_cuts(
 
     Interpolates between the horizontal-cut semantics (width 0) and the full
     ``pts`` semantics (width >= the region's time span); the interval is
-    monotone (non-shrinking) in the width.
+    monotone (non-shrinking) in the width.  ``(1, 0)`` is the vacuous
+    answer when no candidate's region admits a width-bounded cut.
     """
-    system = psys.system
-    low = ONE
-    high = ZERO
-    for candidate in system.knowledge_set(agent, point):
-        region = region_of.sample_space(agent, candidate)
-        if not region:
-            continue
-        for cut in enumerate_banded_cuts(region, width, limit):
-            inner, outer = cut_probability_interval(psys, candidate, cut, fact)
-            low = min(low, inner)
-            high = max(high, outer)
-    return low, high
+    cuts_of = partial(enumerate_banded_cuts, width=width, limit=limit)
+    return _interval_over_regions(psys, region_of, agent, point, fact, cuts_of)
 
 
 # ----------------------------------------------------------------------
@@ -205,6 +197,38 @@ def cut_probability_interval(
     return space.measure_interval(fact.restricted_to(cut))
 
 
+def _interval_over_regions(
+    psys: ProbabilisticSystem,
+    region_of: SampleSpaceAssignment,
+    agent: int,
+    point: Point,
+    fact: Fact,
+    cuts_of: Callable[[Region], Iterable[PointSet]],
+) -> Tuple[Fraction, Fraction]:
+    """Least inner and greatest outer measure of the fact over the cuts of
+    the region at every ``d`` in ``K_i(point)``, each distinct
+    ``(T(d), region)`` evaluated once, at its first ``d``.
+
+    A cut's induced space depends on its anchor only through ``T(d)``
+    (REQ1/REQ2 and the run measure), so later candidates of a pair repeat
+    the same intervals and the same REQ1/REQ2 outcome: skipping them is exact.
+    """
+    low = ONE
+    high = ZERO
+    seen = set()
+    for candidate in psys.system.knowledge_set(agent, point):
+        region = region_of.sample_space(agent, candidate)
+        key = (psys.adversary_of(candidate), region)
+        if not region or key in seen:
+            continue
+        seen.add(key)
+        for cut in cuts_of(region):
+            inner, outer = cut_probability_interval(psys, candidate, cut, fact)
+            low = min(low, inner)
+            high = max(high, outer)
+    return low, high
+
+
 def interval_over_cuts(
     psys: ProbabilisticSystem,
     region_of: SampleSpaceAssignment,
@@ -219,21 +243,12 @@ def interval_over_cuts(
     Quantifies over every point ``d`` the agent considers possible at
     ``point`` *and* every cut of the region at ``d`` in the given class:
     ``alpha`` is the least and ``beta`` the greatest probability of the fact
-    across all those cut spaces.
+    across all those cut spaces.  ``(1, 0)`` is the vacuous answer when no
+    candidate's region admits a cut of the class.
     """
-    enumerate_cuts = CUT_CLASSES[cut_class]
-    system = psys.system
-    low = ONE
-    high = ZERO
-    for candidate in system.knowledge_set(agent, point):
-        region = region_of.sample_space(agent, candidate)
-        if not region:
-            continue
-        for cut in enumerate_cuts(region) if cut_class == "horizontal" else enumerate_cuts(region, limit):
-            inner, outer = cut_probability_interval(psys, candidate, cut, fact)
-            low = min(low, inner)
-            high = max(high, outer)
-    return low, high
+    options = {} if cut_class == "horizontal" else {"limit": limit}
+    cuts_of = partial(CUT_CLASSES[cut_class], **options)
+    return _interval_over_regions(psys, region_of, agent, point, fact, cuts_of)
 
 
 def pts_interval(
@@ -252,23 +267,7 @@ def pts_interval(
     which is precisely how ``P_post`` evaluates the fact.  This closed form
     is what makes the 10-coin example (with ``11^1024`` cuts) computable.
     """
-    system = psys.system
-    low = ONE
-    high = ZERO
-    interval_cache: Dict[Region, Tuple[Fraction, Fraction]] = {}
-    for candidate in system.knowledge_set(agent, point):
-        region = region_of.sample_space(agent, candidate)
-        if not region:
-            continue
-        if region not in interval_cache:
-            space = induced_point_space(psys, candidate, region)
-            interval_cache[region] = space.measure_interval(
-                fact.restricted_to(region)
-            )
-        inner, outer = interval_cache[region]
-        low = min(low, inner)
-        high = max(high, outer)
-    return low, high
+    return _interval_over_regions(psys, region_of, agent, point, fact, lambda region: (region,))
 
 
 def verify_proposition10(

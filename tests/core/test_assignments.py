@@ -17,6 +17,7 @@ from repro.core import (
 )
 from repro.core.standard import PostAssignment
 from repro.errors import NotMeasurableError, Req1Error, Req2Error
+from repro.examples_lib import input_coin_system
 from repro.testing import random_psys, two_agent_coin_psys
 
 
@@ -189,3 +190,20 @@ class TestProbabilityAssignment:
 
     def test_measurability_everywhere(self, psys, post, heads):
         assert post.is_measurable(heads)
+
+    @pytest.mark.parametrize("query_other_tree_first", [False, True])
+    def test_space_cache_keeps_req1_per_tree(self, query_other_tree_first):
+        # A fixed "bit=0" region is a valid sample at "bit=0" points only:
+        # a cached "bit=0" space must not let a "bit=1" point skip REQ1.
+        example = input_coin_system()
+        psys = example.psys
+        fixed = frozenset(p for p in psys.tree("bit=0").points if p.time == 1)
+        assignment = ProbabilityAssignment(
+            FunctionAssignment(psys, lambda agent, point: fixed)
+        )
+        in_bit0 = next(p for p in psys.tree("bit=0").points if p.time == 0)
+        in_bit1 = next(p for p in psys.tree("bit=1").points if p.time == 0)
+        if query_other_tree_first:
+            assert assignment.probability(1, in_bit0, example.heads) == Fraction(1, 2)
+        with pytest.raises(Req1Error):
+            assignment.probability(1, in_bit1, example.heads)

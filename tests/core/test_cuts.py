@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import (
     Fact,
+    FunctionAssignment,
     PostAssignment,
     ProbabilityAssignment,
     count_point_cuts,
@@ -19,8 +20,8 @@ from repro.core import (
     pts_interval,
     verify_proposition10,
 )
-from repro.errors import AssignmentError
-from repro.examples_lib import biased_async_system, repeated_coin_system
+from repro.errors import AssignmentError, Req1Error
+from repro.examples_lib import biased_async_system, input_coin_system, repeated_coin_system
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +141,28 @@ class TestClosedForm:
         # the root (pre-toss) point forces the inner measure to 0 here
         assert low == Fraction(0)
         assert high == Fraction(7, 8)
+
+
+class TestReq1AcrossTrees:
+    def test_shared_region_from_another_tree_raises(self, monkeypatch):
+        # p2 sees nothing, so K_2 holds time-0 points of both trees; a
+        # region of tree "bit=0" violates REQ1 at every "bit=1" candidate,
+        # even when a "bit=0" candidate with the same region came first.
+        example = input_coin_system()
+        psys = example.psys
+        fixed = frozenset(p for p in psys.tree("bit=0").points if p.time == 1)
+        region_of = FunctionAssignment(psys, lambda agent, point: fixed)
+        anchor = psys.system.points_at_time(0)[0]
+        candidates = sorted(
+            psys.system.knowledge_set(1, anchor),
+            key=lambda point: psys.adversary_of(point) != "bit=0",
+        )
+        assert {psys.adversary_of(point) for point in candidates} == {"bit=0", "bit=1"}
+        monkeypatch.setattr(psys.system, "knowledge_set", lambda agent, point: candidates)
+        with pytest.raises(Req1Error):
+            pts_interval(psys, region_of, 1, anchor, example.heads)
+        with pytest.raises(Req1Error):
+            interval_over_cuts(psys, region_of, 1, anchor, example.heads, "pts")
 
 
 class TestProposition10:
