@@ -5,10 +5,13 @@ The acceptance scenario behind the ``verify-audit`` CI job, end to end:
 1. Run :func:`repro.robustness.robust_guarantee_sweep` with ``audit=True``
    under a task function that dies mid-sweep (every attempt on one task
    faults), leaving a partial checkpoint and a partial audit bundle.
-2. Resume with :func:`repro.robustness.resume_guarantee_sweep`
+2. Tear the final record of both the checkpoint and the bundle
+   mid-line, as a kill inside ``write`` would, so the resume must cut
+   each torn tail before it appends.
+3. Resume with :func:`repro.robustness.resume_guarantee_sweep`
    (``audit=True`` again): the engine skips checkpointed rows, backfills
    any audit leaves the kill swallowed, and continues the Merkle chain.
-3. Assert the merged rows equal the serial sweep's, then run the full
+4. Assert the merged rows equal the serial sweep's, then run the full
    ``tools/verifyaudit`` tier stack over the bundle -- hash chain,
    checkpoint cross-check, and derivation replay -- and demand exit 0.
 
@@ -59,6 +62,13 @@ def _dies_mid_sweep(task, context):
 _dies_mid_sweep.wants_context = True
 
 
+def _tear_final_record(path: Path) -> None:
+    """Cut the file's final record in half, dropping its newline."""
+    data = path.read_bytes()
+    start = data.rstrip(b"\n").rfind(b"\n") + 1
+    path.write_bytes(data[: start + (len(data) - start) // 2])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -91,7 +101,11 @@ def main(argv=None) -> int:
         print("  ERROR: the chaos sweep was supposed to die", file=sys.stderr)
         return 1
 
-    print("phase 2: resume (healthy task function, chain continues)")
+    print("phase 2: tear the final checkpoint and bundle records mid-line")
+    for path in (checkpoint, bundle):
+        _tear_final_record(path)
+
+    print("phase 3: resume (healthy task function, chain continues)")
     rows = resume_guarantee_sweep(
         checkpoint, MESSENGERS, LOSSES, max_workers=1, audit=True
     )
@@ -100,7 +114,7 @@ def main(argv=None) -> int:
         return 1
     print(f"  {len(rows)} rows, identical to the serial sweep")
 
-    print("phase 3: verifyaudit (hash + checkpoint + replay tiers)")
+    print("phase 4: verifyaudit (hash + checkpoint + replay tiers)")
     report = verify_audit(str(bundle))
     report_path = artifact_dir / "verifyaudit-report.json"
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

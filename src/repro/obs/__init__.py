@@ -24,6 +24,8 @@ counters, gauges, events and timing spans to the process-global
   snapshots and ships per-attempt deltas across process boundaries --
   the cross-process telemetry the sweep engine's workers use, so the
   parent's counters cover the whole sweep.
+* :mod:`repro.obs.jsonl` is the record log (one torn-tail rule) under
+  every JSONL artifact and checkpoint.
 * :mod:`repro.obs.clock` quarantines every wall-clock read in the
   library (statically enforced by reprolint RL008).
 

@@ -16,9 +16,8 @@ parent-side work.
 Schema ``repro-metrics/1``
 --------------------------
 
-A metrics artifact is JSONL, mirroring ``repro-trace/1`` so the same
-half-written-tail discipline applies.  The first record is always the
-header::
+A metrics artifact is a record log (:mod:`repro.obs.jsonl`), mirroring
+``repro-trace/1``.  The first record is always the header::
 
     {"seq": 0, "ts": 0.0, "pid": <int>, "type": "header",
      "schema": "repro-metrics/1"}
@@ -58,6 +57,7 @@ from typing import Dict, List, Optional
 from ..errors import MetricsError
 from ..reporting import json_ready
 from .clock import perf_counter
+from .jsonl import header_problem, read_records
 from .metrics import MetricsRecorder
 from .recorder import Recorder, set_recorder
 
@@ -213,43 +213,15 @@ def write_snapshot(
 def read_snapshots(source, strict: bool = True) -> List[Dict]:
     """Load the records of a ``repro-metrics/1`` JSONL file (or lines).
 
-    Mirrors :func:`repro.obs.trace.read_trace`: a final line that does
-    not decode as JSON is the half-written tail of a killed run and is
-    dropped; an undecodable line *before* the end raises
-    :class:`~repro.errors.MetricsError`.  With ``strict=True`` the first
-    record must be a ``repro-metrics/1`` header.
+    Torn tails and corruption follow the shared record-log rule of
+    :mod:`repro.obs.jsonl` (a torn final line is dropped, earlier
+    garbage raises :class:`~repro.errors.MetricsError`).  With
+    ``strict=True`` the first record must be a ``repro-metrics/1`` header.
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in source]
-    records: List[Dict] = []
-    bad_line: Optional[int] = None
-    for position, line in enumerate(lines):
-        if not line.strip():
-            continue
-        if bad_line is not None:
-            raise MetricsError(
-                f"metrics line {bad_line + 1} is not JSON but is not the final line"
-            )
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            bad_line = position
-            continue
-        if not isinstance(record, dict):
-            raise MetricsError(f"metrics line {position + 1} is not a JSON object")
-        records.append(record)
-    if strict:
-        if not records:
-            raise MetricsError("metrics artifact is empty: no header record")
-        header = records[0]
-        if header.get("type") != "header" or header.get("schema") != METRICS_SCHEMA:
-            raise MetricsError(
-                f"metrics artifact does not start with a {METRICS_SCHEMA!r} "
-                f"header: {header!r}"
-            )
+    records = read_records(source, MetricsError, "metrics")
+    problem = header_problem(records, METRICS_SCHEMA) if strict else None
+    if problem:
+        raise MetricsError(f"metrics artifact {problem}")
     return records
 
 

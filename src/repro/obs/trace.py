@@ -42,11 +42,12 @@ produces byte-identical results to an uninstrumented one.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..errors import TraceError
 from ..reporting import json_ready
 from .clock import perf_counter
+from .jsonl import header_problem, read_records
 from .recorder import Recorder
 
 __all__ = ["TRACE_SCHEMA", "TraceRecorder", "read_trace"]
@@ -170,39 +171,13 @@ class TraceRecorder(Recorder):
 def read_trace(source, strict: bool = True) -> List[Dict]:
     """Load the records of a JSONL trace file (or iterable of lines).
 
-    A final line that does not decode as JSON is the half-written tail
-    of a killed run and is dropped; an undecodable line *before* the end
-    raises :class:`~repro.errors.TraceError`.  With ``strict=True`` the
-    first record must be a ``repro-trace/1`` header.
+    Torn tails and corruption follow the shared record-log rule of
+    :mod:`repro.obs.jsonl` (a torn final line is dropped, earlier
+    garbage raises :class:`~repro.errors.TraceError`).  With
+    ``strict=True`` the first record must be a ``repro-trace/1`` header.
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in source]
-    records: List[Dict] = []
-    bad_line: Optional[int] = None
-    for position, line in enumerate(lines):
-        if not line.strip():
-            continue
-        if bad_line is not None:
-            raise TraceError(
-                f"trace line {bad_line + 1} is not JSON but is not the final line"
-            )
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            bad_line = position
-            continue
-        if not isinstance(record, dict):
-            raise TraceError(f"trace line {position + 1} is not a JSON object")
-        records.append(record)
-    if strict:
-        if not records:
-            raise TraceError("trace is empty: no header record")
-        header = records[0]
-        if header.get("type") != "header" or header.get("schema") != TRACE_SCHEMA:
-            raise TraceError(
-                f"trace does not start with a {TRACE_SCHEMA!r} header: {header!r}"
-            )
+    records = read_records(source, TraceError, "trace")
+    problem = header_problem(records, TRACE_SCHEMA) if strict else None
+    if problem:
+        raise TraceError(f"trace {problem}")
     return records

@@ -15,14 +15,14 @@ and resuming against a task list whose fingerprints disagree raises
 :class:`~repro.errors.CheckpointError` instead of silently splicing rows
 from two different sweeps.
 
-A process killed mid-write leaves a truncated final line; loading
-tolerates exactly that (the undecodable tail is ignored and its task
-re-run) while any *well-formed but wrong* record stays a hard error.
+The checkpoint is a record log (:mod:`repro.obs.jsonl`): a process
+killed mid-write leaves a torn final line, which loading drops (its task
+re-runs) and the first append of a resumed run cuts away, while earlier
+garbage and any *well-formed but wrong* record stay hard errors.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from contextlib import ExitStack
 from fractions import Fraction
@@ -40,6 +40,7 @@ from ..attack.sweep import (
 )
 from ..errors import CheckpointError
 from ..obs.audit import AuditBundleWriter
+from ..obs.jsonl import append_record, read_records, repair
 from ..probability.bitset import get_default_backend, use_backend
 from ..probability.fractionutil import FractionLike
 from ..reporting import fraction_from_json, json_ready
@@ -98,64 +99,56 @@ class SweepCheckpoint:
 
     ``append`` writes one record per completed task and fsyncs, so a
     kill at any instant loses at most the row being written -- and only
-    as a truncated final line, which ``load`` tolerates.  ``load``
-    returns the completed ``index -> SweepRow`` table after verifying
-    every record's fingerprint against the resuming task list.
+    as a torn final line, which ``load`` drops and the first ``append``
+    of the next run cuts away.  ``load`` returns the completed
+    ``index -> SweepRow`` table after verifying every record's
+    fingerprint against the resuming task list.
     """
 
     def __init__(self, path) -> None:
         self.path = os.fspath(path)
+        self._repaired = False
 
     def append(self, index: int, task: SweepTask, row: SweepRow) -> None:
         """Durably record one completed row."""
-        line = json.dumps(row_to_record(index, task, row), sort_keys=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        if not self._repaired:
+            repair(self.path, CheckpointError, "checkpoint")
+            self._repaired = True
+        append_record(self.path, row_to_record(index, task, row))
 
     def load(self, tasks: Sequence[SweepTask]) -> Dict[int, SweepRow]:
         """The completed rows on disk, keyed by task index.
 
-        A missing file means a fresh sweep (empty table).  A final line
-        that does not decode as JSON is the half-written tail of a killed
-        run and is skipped -- its task simply re-runs.  A record that
-        decodes but names an out-of-range index or a fingerprint
-        different from ``tasks`` raises :class:`CheckpointError`: the
-        checkpoint belongs to a different sweep.
+        A missing file means a fresh sweep (empty table).  A torn final
+        line is the half-written tail of a killed run and is skipped --
+        its task simply re-runs.  Garbage before the final line, or a
+        record that names an out-of-range index or a fingerprint
+        different from ``tasks``, raises :class:`CheckpointError`: the
+        file is corrupt, or belongs to a different sweep.
         """
         try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
+            records = read_records(self.path, CheckpointError, "checkpoint")
         except FileNotFoundError:
             return {}
         completed: Dict[int, SweepRow] = {}
-        for position, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                # The half-written tail of a killed run.  Anything after
-                # it (there should be nothing) is unreliable too.
-                break
+        for position, record in enumerate(records, 1):
             try:
                 index = int(record["index"])
                 fingerprint = record["task"]
                 row = row_from_record(record)
             except (KeyError, TypeError, ValueError) as error:
                 raise CheckpointError(
-                    f"checkpoint line {position + 1} is malformed: {error}"
+                    f"checkpoint record {position} is malformed: {error}"
                 ) from error
             if not 0 <= index < len(tasks):
                 raise CheckpointError(
-                    f"checkpoint line {position + 1} names task {index}, but the "
+                    f"checkpoint record {position} names task {index}, but the "
                     f"sweep has {len(tasks)} tasks"
                 )
             expected = task_fingerprint(tasks[index])
             if _identity_fingerprint(fingerprint) != _identity_fingerprint(expected):
                 raise CheckpointError(
-                    f"checkpoint line {position + 1} was computed for "
+                    f"checkpoint record {position} was computed for "
                     f"{fingerprint!r}, but task {index} of this sweep is "
                     f"{expected!r}; refusing to splice rows from different sweeps"
                 )

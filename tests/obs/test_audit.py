@@ -229,6 +229,18 @@ class TestWriterResume:
         # the torn fragment is physically gone, not fused into a record
         assert '"index"' not in path.read_text().splitlines()[-1][:24]
 
+    def test_resume_keeps_a_final_leaf_missing_only_its_newline(self, tmp_path):
+        # reader and writer share one definition of an intact record:
+        # the decodable final leaf is kept (and terminated), never cut
+        path = _write_bundle(tmp_path / "s.audit", count=3)
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        writer = AuditBundleWriter(path)
+        assert writer.leaf_indexes() == frozenset({0, 1, 2})
+        writer.append(3, _task(3), _row(3), _derivation(1))
+        bundle = read_audit_bundle(path)
+        assert verify_bundle(bundle) == []
+        assert bundle.leaf_indexes() == frozenset({0, 1, 2, 3})
+
     def test_resume_rejects_a_foreign_header(self, tmp_path):
         path = tmp_path / "s.audit"
         header = header_record()

@@ -163,6 +163,26 @@ class TestChaosAuditedSweep:
         report = verify_audit(str(default_audit_path(path)))
         assert report["verdict"] == "clean"
 
+    def test_resume_after_a_torn_checkpoint_record_verifies_clean(self, tmp_path):
+        # a kill mid-write tears the checkpoint's third record: the
+        # resume must cut the fragment before appending, or its first
+        # row fuses with it and every later row is lost to the loader
+        path = tmp_path / "sweep.jsonl"
+        robust_guarantee_sweep(
+            MESSENGERS, LOSSES, max_workers=1, checkpoint_path=path, audit=True
+        )
+        data = path.read_bytes()
+        third = data.index(b"\n", data.index(b"\n") + 1) + 1
+        path.write_bytes(data[: third + (data.index(b"\n", third) - third) // 2])
+        tasks = sweep_tasks(MESSENGERS, LOSSES)
+        assert set(SweepCheckpoint(path).load(tasks)) == {0, 1}
+        rows = resume_guarantee_sweep(
+            path, MESSENGERS, LOSSES, max_workers=1, audit=True
+        )
+        assert rows == _serial_rows()
+        assert set(SweepCheckpoint(path).load(tasks)) == set(range(len(tasks)))
+        assert verify_audit(str(default_audit_path(path)))["verdict"] == "clean"
+
     def test_resume_backfills_leaves_the_kill_swallowed(self, tmp_path):
         # A kill can land between the checkpoint append and the audit
         # append: fake that gap by deleting the bundle's last leaf, then

@@ -148,6 +148,22 @@ class TestResume:
         assert checkpoint.load(tasks) == {0: serial[0], 1: serial[1], 2: serial[2]}
         rows = resume_guarantee_sweep(path, MESSENGERS, LOSSES, max_workers=1)
         assert rows == serial
+        # the resumed rows landed on a record boundary, not fused with
+        # the torn fragment, so the next resume has nothing to re-run
+        assert checkpoint.load(tasks) == dict(enumerate(serial))
+
+    def test_mid_file_garbage_is_a_hard_error(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        tasks = sweep_tasks(MESSENGERS, LOSSES)
+        serial = _serial_rows()
+        checkpoint = SweepCheckpoint(path)
+        for index in range(3):
+            checkpoint.append(index, tasks[index], serial[index])
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1][: len(lines[1]) // 2]  # torn NON-final line
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CheckpointError, match="line 2"):
+            SweepCheckpoint(path).load(tasks)
 
     def test_missing_file_means_fresh_sweep(self, tmp_path):
         checkpoint = SweepCheckpoint(tmp_path / "never-written.jsonl")

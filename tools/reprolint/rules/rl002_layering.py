@@ -80,6 +80,8 @@ INTRA_LAYERS = {
     "obs": {
         "clock": 0,
         "recorder": 0,
+        # the record log under trace, snapshot and audit files
+        "jsonl": 0,
         "metrics": 1,
         "trace": 1,
         "provenance": 1,

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional
 from repro.errors import MetricsError, TraceError
 from repro.obs import read_snapshot, read_trace
 from repro.obs.clock import monotonic
+from repro.obs.jsonl import RecordTail, header_problem
 from repro.obs.trace import TRACE_SCHEMA
 from repro.reporting import json_ready
 
@@ -85,46 +86,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class _TraceTail:
-    """Incrementally read complete JSONL records from a growing trace.
+    """Incrementally read the records of a growing trace.
 
-    Keeps a byte offset and a partial-line buffer between polls, so a
-    half-written final line (the writer mid-``write``, or a killed run's
-    torn tail) is simply held back until it completes -- the same
-    tolerance :func:`repro.obs.read_trace` applies at rest.  A *complete*
-    line that fails to parse, or a bad header, is a schema violation.
+    A :class:`repro.obs.jsonl.RecordTail` (a half-written final line is
+    held back until it completes, the same rule
+    :func:`repro.obs.read_trace` applies at rest) plus the trace's own
+    check: the first record must be a ``repro-trace/1`` header.
     """
 
     def __init__(self, path: str) -> None:
-        self.path = path
-        self._offset = 0
-        self._partial = ""
+        self._tail = RecordTail(path, TraceError, f"trace {path}")
         self._header_checked = False
 
     def poll(self) -> List[Dict]:
-        with open(self.path, "r", encoding="utf-8") as handle:
-            handle.seek(self._offset)
-            chunk = handle.read()
-            self._offset = handle.tell()
-        data = self._partial + chunk
-        lines = data.split("\n")
-        self._partial = lines.pop()
-        records: List[Dict] = []
-        for line in lines:
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                raise TraceError(
-                    f"trace {self.path}: malformed complete record: {line[:80]!r}"
-                )
-            if not self._header_checked:
-                if record.get("type") != "header" or record.get("schema") != TRACE_SCHEMA:
-                    raise TraceError(
-                        f"trace does not start with a {TRACE_SCHEMA!r} header: {record!r}"
-                    )
-                self._header_checked = True
-            records.append(record)
+        records = self._tail.poll()
+        if records and not self._header_checked:
+            problem = header_problem(records, TRACE_SCHEMA)
+            if problem:
+                raise TraceError(f"trace {self._tail.path} {problem}")
+            self._header_checked = True
         return records
 
 

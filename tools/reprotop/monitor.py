@@ -25,12 +25,12 @@ are floats.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional
 
 from repro.errors import MetricsError, TraceError
+from repro.obs.jsonl import read_records
 from repro.reporting import render_table
 
 __all__ = ["SweepMonitor", "checkpoint_status", "render_status", "snapshot_status"]
@@ -262,28 +262,14 @@ def snapshot_status(
 def checkpoint_status(path: str) -> int:
     """Count completed rows in a sweep checkpoint JSONL.
 
-    Mirrors the checkpoint loader's crash tolerance: a truncated or
-    garbled *final* line (the one a kill interrupted) is ignored, while
-    garbage earlier in the file is a real error -- monitoring must not
-    silently under-report a corrupted sweep.
+    Reads with the checkpoint loader's crash tolerance (the shared
+    record-log rule of :mod:`repro.obs.jsonl`): a torn *final* line is
+    ignored, while garbage earlier in the file raises
+    :class:`~repro.errors.TraceError` -- monitoring must not silently
+    under-report a corrupted sweep.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    done = 0
-    for position, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            if position == len(lines) - 1:
-                break
-            raise TraceError(
-                f"checkpoint {path}: malformed record at line {position + 1}"
-            )
-        if isinstance(record, dict) and "index" in record:
-            done += 1
-    return done
+    records = read_records(path, TraceError, f"checkpoint {path}")
+    return sum(1 for record in records if "index" in record)
 
 
 def _fmt(value: object) -> object:
