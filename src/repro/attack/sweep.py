@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..core.assignments import ProbabilityAssignment
 from ..core.model import Point
 from ..core.standard import standard_assignments
 from ..logic.semantics import Model
@@ -67,7 +68,13 @@ def post_threshold_witness(attack: AttackSystem) -> Tuple[Fraction, int, Point]:
     order, so the witness is stable across runs and processes (what the
     per-row provenance events and ``tools/tracediff`` rely on).
     """
-    post = standard_assignments(attack.psys)["post"]
+    return _witness_under(attack, standard_assignments(attack.psys)["post"])
+
+
+def _witness_under(
+    attack: AttackSystem, post: ProbabilityAssignment
+) -> Tuple[Fraction, int, Point]:
+    """:func:`post_threshold_witness` over an already built ``P_post``."""
     index = attack.psys.point_index
     points = sorted(attack.psys.system.points, key=index.position)
     best: Optional[Tuple[Fraction, int, Point]] = None
@@ -89,8 +96,10 @@ def row_provenance_derivation(attack: AttackSystem):
     ``post_threshold``.  This is what the ``provenance=True`` sweep mode
     attaches to each ``row_provenance`` event.
     """
-    threshold, agent, point = post_threshold_witness(attack)
+    # one P_post for the search and the explain: the explain reuses the
+    # space the search built (and REQ1/REQ2-checked) at the witness point
     post = standard_assignments(attack.psys)["post"]
+    threshold, agent, point = _witness_under(attack, post)
     model = Model(post, {"coord": attack.coordinated})
     formula = PrAtLeast(agent, Prop("coord"), threshold)
     return model.explain(formula, point)

@@ -373,6 +373,14 @@ class ProbabilityAssignment:
     are cached by ``(agent, T(c), sample)`` rather than ``(agent, point)``;
     the tree is part of the key because REQ1 checks the sample against
     ``T(c)``, so a point of another tree must not reuse a space that passed.
+
+    Every probability query takes one path (:meth:`_query`): it evaluates
+    ``S_ic`` once and looks up the memo keyed by ``(agent, T(c), S_ic,
+    fact)`` holding the space, the event ``S_ic(phi)`` and the event's
+    mask in that space, then answers through the space's mask-level
+    kernels.  So a fact is restricted and converted to a mask once per
+    sample, not once per point.  The memo holds no measure results: those
+    stay in each space's interval cache.
     """
 
     def __init__(self, ssa: SampleSpaceAssignment, name: Optional[str] = None) -> None:
@@ -381,6 +389,10 @@ class ProbabilityAssignment:
         self.name = name or ssa.name
         self._space_cache: Dict[Tuple[int, Hashable, PointSet], FiniteProbabilitySpace] = {}
         self._event_cache: Dict[Tuple[Fact, PointSet], PointSet] = {}
+        self._query_cache: Dict[
+            Tuple[int, Hashable, PointSet, Fact],
+            Tuple[FiniteProbabilitySpace, PointSet, Optional[int]],
+        ] = {}
 
     # -- spaces ----------------------------------------------------------
 
@@ -390,11 +402,15 @@ class ProbabilityAssignment:
 
     def space(self, agent: int, point: Point) -> FiniteProbabilitySpace:
         """``P_ic = (S_ic, X_ic, mu_ic)``."""
-        sample = self.ssa.sample_space(agent, point)
+        return self._space(agent, point, self.ssa.sample_space(agent, point))
+
+    def _space(self, agent: int, point: Point, sample: PointSet) -> FiniteProbabilitySpace:
         key = (agent, self.psys.adversary_of(point), sample)
-        if key not in self._space_cache:
-            self._space_cache[key] = induced_point_space(self.psys, point, sample)
-        return self._space_cache[key]
+        space = self._space_cache.get(key)
+        if space is None:
+            space = induced_point_space(self.psys, point, sample)
+            self._space_cache[key] = space
+        return space
 
     # -- probabilities at a point ----------------------------------------
 
@@ -409,7 +425,9 @@ class ProbabilityAssignment:
         ``id(fact)``-keyed scheme without the id-recycling hazard (and
         without the keep-alive workaround it required).
         """
-        sample = self.ssa.sample_space(agent, point)
+        return self._event(fact, self.ssa.sample_space(agent, point))
+
+    def _event(self, fact: Fact, sample: PointSet) -> PointSet:
         key = (fact, sample)
         cached = self._event_cache.get(key)
         if cached is None:
@@ -417,11 +435,33 @@ class ProbabilityAssignment:
             self._event_cache[key] = cached
         return cached
 
+    def _query(
+        self, agent: int, point: Point, fact: Fact
+    ) -> Tuple[FiniteProbabilitySpace, PointSet, Optional[int]]:
+        """``(P_ic, S_ic(phi), mask)`` for one query; ``S_ic`` is evaluated once.
+
+        Keyed like the space cache plus the fact, so a point of another
+        tree builds (and REQ1-checks) its own space, and a fact hashes by
+        identity.  The mask indexes the event in that very space object;
+        it is ``None`` on the naive backend, which has no index.
+        """
+        sample = self.ssa.sample_space(agent, point)
+        key = (agent, self.psys.adversary_of(point), sample, fact)
+        query = self._query_cache.get(key)
+        if query is None:
+            space = self._space(agent, point, sample)
+            event = self._event(fact, sample)
+            mask = None if space.backend == "naive" else space.event_mask(event)
+            query = (space, event, mask)
+            self._query_cache[key] = query
+        return query
+
     def is_measurable_at(self, agent: int, point: Point, fact: Fact) -> bool:
         """True iff ``S_ic(phi)`` is measurable in ``P_ic``."""
-        return self.space(agent, point).is_measurable(
-            self.satisfying_points(agent, point, fact)
-        )
+        space, event, mask = self._query(agent, point, fact)
+        if mask is None:
+            return space.is_measurable(event)
+        return space.is_measurable_mask(mask)
 
     def is_measurable(self, fact: Fact) -> bool:
         """Measurable with respect to the assignment: at every agent/point."""
@@ -434,34 +474,42 @@ class ProbabilityAssignment:
 
     def probability(self, agent: int, point: Point, fact: Fact) -> Fraction:
         """``mu_ic(S_ic(phi))``; raises if the fact is not measurable at c."""
-        event = self.satisfying_points(agent, point, fact)
-        space = self.space(agent, point)
-        if not space.is_measurable(event):
+        space, event, mask = self._query(agent, point, fact)
+        if mask is None:
+            measurable = space.is_measurable(event)
+        else:
+            measurable = space.is_measurable_mask(mask)
+        if not measurable:
             raise NotMeasurableError(
                 f"{fact.name} is not measurable for agent {agent} here; "
                 "use inner_probability / outer_probability"
             )
-        return space.measure(event)
+        if mask is None:
+            return space.measure(event)
+        return space.measure_mask(mask)
 
     def inner_probability(self, agent: int, point: Point, fact: Fact) -> Fraction:
         """``(mu_ic)_*(S_ic(phi))`` -- the semantics of ``Pr_i(phi) >= alpha``."""
-        return self.space(agent, point).inner_measure(
-            self.satisfying_points(agent, point, fact)
-        )
+        space, event, mask = self._query(agent, point, fact)
+        if mask is None:
+            return space.inner_measure(event)
+        return space.inner_measure_mask(mask)
 
     def outer_probability(self, agent: int, point: Point, fact: Fact) -> Fraction:
         """``(mu_ic)^*(S_ic(phi))``."""
-        return self.space(agent, point).outer_measure(
-            self.satisfying_points(agent, point, fact)
-        )
+        space, event, mask = self._query(agent, point, fact)
+        if mask is None:
+            return space.outer_measure(event)
+        return space.outer_measure_mask(mask)
 
     def probability_interval(
         self, agent: int, point: Point, fact: Fact
     ) -> Tuple[Fraction, Fraction]:
         """``(inner, outer)`` measure of the fact at the point."""
-        return self.space(agent, point).measure_interval(
-            self.satisfying_points(agent, point, fact)
-        )
+        space, event, mask = self._query(agent, point, fact)
+        if mask is None:
+            return space.measure_interval(event)
+        return space.measure_interval_mask(mask)
 
     # -- probabilistic knowledge ------------------------------------------
 

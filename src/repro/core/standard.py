@@ -19,7 +19,7 @@ conditionings of higher ones).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import AssignmentError
 from .assignments import PointSet, ProbabilityAssignment, SampleSpaceAssignment
@@ -32,55 +32,53 @@ if TYPE_CHECKING:
 
 
 class _TreeIndexed(SampleSpaceAssignment):
-    """Shared machinery: per-tree, per-agent index from local state to points."""
+    """Shared machinery: a per-tree index from a key to the points having it.
+
+    Each subclass groups a tree's points by the one key its sample spaces
+    read (:meth:`_groups`), so an assignment builds only its own index.
+    The index is built eagerly, here, for every tree.
+    """
 
     def __init__(self, psys: ProbabilisticSystem, name: Optional[str] = None) -> None:
         super().__init__(psys, name)
-        self._local_index: Dict[tuple, PointSet] = {}
-        self._time_index: Dict[tuple, PointSet] = {}
-        self._state_index: Dict[tuple, PointSet] = {}
+        self._index: Dict[tuple, PointSet] = {}
         for tree in psys.trees:
-            by_time: Dict[int, List[Point]] = {}
-            by_state: Dict[object, List[Point]] = {}
-            agent_locals: List[Dict[object, List[Point]]] = []
-            # read each run's state tuple directly instead of dispatching
-            # through point.local_state: this loop touches every
-            # (point, agent) pair of every tree.  Plain lists suffice --
-            # tree.points enumerates each point exactly once.
-            for point in tree.points:
-                state = point.run.states[point.time]
-                by_time.setdefault(point.time, []).append(point)
-                by_state.setdefault(state, []).append(point)
-                locals_ = state.local_states
-                if len(agent_locals) < len(locals_):
-                    agent_locals.extend(
-                        {} for _ in range(len(locals_) - len(agent_locals))
-                    )
-                for agent, local in enumerate(locals_):
-                    agent_locals[agent].setdefault(local, []).append(point)
-            adversary = tree.adversary
-            for time, points in by_time.items():
-                self._time_index[(adversary, time)] = frozenset(points)
-            for state, points in by_state.items():
-                self._state_index[(adversary, state)] = frozenset(points)
-            for agent, mapping in enumerate(agent_locals):
-                for local, points in mapping.items():
-                    self._local_index[(adversary, agent, local)] = frozenset(points)
+            for key, points in self._groups(tree):
+                self._index[key] = frozenset(points)
+
+    def _groups(self, tree: ComputationTree) -> Iterable[Tuple[tuple, List[Point]]]:
+        """``(key, points)`` pairs; each key starts with ``tree.adversary``.
+
+        Plain lists suffice: ``tree.points`` enumerates each point once.
+        """
+        raise NotImplementedError
+
+
+class _LocalIndexed(_TreeIndexed):
+    """Indexed by ``(adversary, agent, local state)``: ``Tree_ic`` ingredients."""
+
+    def _groups(self, tree: ComputationTree) -> Iterable[Tuple[tuple, List[Point]]]:
+        agent_locals: List[Dict[object, List[Point]]] = []
+        # read each run's state tuple directly instead of dispatching
+        # through point.local_state: this loop touches every (point,
+        # agent) pair of every tree
+        for point in tree.points:
+            locals_ = point.run.states[point.time].local_states
+            if len(agent_locals) < len(locals_):
+                agent_locals.extend({} for _ in range(len(locals_) - len(agent_locals)))
+            for agent, local in enumerate(locals_):
+                agent_locals[agent].setdefault(local, []).append(point)
+        adversary = tree.adversary
+        for agent, mapping in enumerate(agent_locals):
+            for local, points in mapping.items():
+                yield (adversary, agent, local), points
 
     def tree_points_with_local(self, tree: ComputationTree, agent: int, local) -> PointSet:
         """``Tree_ic`` ingredients: points of the tree with a given local state."""
-        return self._local_index.get((tree.adversary, agent, local), frozenset())
-
-    def tree_points_at_time(self, tree: ComputationTree, time: int) -> PointSet:
-        """All time-``k`` points of the tree (``All_ic``)."""
-        return self._time_index.get((tree.adversary, time), frozenset())
-
-    def tree_points_with_state(self, tree: ComputationTree, state) -> PointSet:
-        """All points of the tree with a given global state (``Pref_ic``)."""
-        return self._state_index.get((tree.adversary, state), frozenset())
+        return self._index.get((tree.adversary, agent, local), frozenset())
 
 
-class PostAssignment(_TreeIndexed):
+class PostAssignment(_LocalIndexed):
     """``S_post``: ``S(i, c) = Tree_ic = { d in T(c) : c ~_i d }``."""
 
     def __init__(self, psys: ProbabilisticSystem) -> None:
@@ -102,12 +100,23 @@ class FutureAssignment(_TreeIndexed):
     def __init__(self, psys: ProbabilisticSystem) -> None:
         super().__init__(psys, name="fut")
 
+    def _groups(self, tree: ComputationTree) -> Iterable[Tuple[tuple, List[Point]]]:
+        by_state: Dict[object, List[Point]] = {}
+        for point in tree.points:
+            by_state.setdefault(point.run.states[point.time], []).append(point)
+        adversary = tree.adversary
+        return (((adversary, state), points) for state, points in by_state.items())
+
+    def tree_points_with_state(self, tree: ComputationTree, state) -> PointSet:
+        """All points of the tree with a given global state (``Pref_ic``)."""
+        return self._index.get((tree.adversary, state), frozenset())
+
     def sample_space(self, agent: int, point: Point) -> PointSet:
         tree = self.psys.tree_of(point)
         return self.tree_points_with_state(tree, point.global_state)
 
 
-class OpponentAssignment(_TreeIndexed):
+class OpponentAssignment(_LocalIndexed):
     """``S^j``: ``S(i, c) = Tree^j_ic = Tree_ic intersect Tree_jc``.
 
     The joint knowledge of the agent and its betting opponent ``p_j``.
@@ -139,6 +148,17 @@ class PriorAssignment(_TreeIndexed):
 
     def __init__(self, psys: ProbabilisticSystem) -> None:
         super().__init__(psys, name="prior")
+
+    def _groups(self, tree: ComputationTree) -> Iterable[Tuple[tuple, List[Point]]]:
+        by_time: Dict[int, List[Point]] = {}
+        for point in tree.points:
+            by_time.setdefault(point.time, []).append(point)
+        adversary = tree.adversary
+        return (((adversary, time), points) for time, points in by_time.items())
+
+    def tree_points_at_time(self, tree: ComputationTree, time: int) -> PointSet:
+        """All time-``k`` points of the tree (``All_ic``)."""
+        return self._index.get((tree.adversary, time), frozenset())
 
     def sample_space(self, agent: int, point: Point) -> PointSet:
         tree = self.psys.tree_of(point)

@@ -191,8 +191,23 @@ class TestProbabilityAssignment:
     def test_measurability_everywhere(self, psys, post, heads):
         assert post.is_measurable(heads)
 
+    @pytest.mark.parametrize(
+        "method, in_bit0_answer",
+        [
+            pytest.param(method, answer, id=method)
+            for method, answer in (
+                ("probability", Fraction(1, 2)),
+                ("is_measurable_at", True),
+                ("inner_probability", Fraction(1, 2)),
+                ("outer_probability", Fraction(1, 2)),
+                ("probability_interval", (Fraction(1, 2), Fraction(1, 2))),
+            )
+        ],
+    )
     @pytest.mark.parametrize("query_other_tree_first", [False, True])
-    def test_space_cache_keeps_req1_per_tree(self, query_other_tree_first):
+    def test_space_cache_keeps_req1_per_tree(
+        self, query_other_tree_first, method, in_bit0_answer
+    ):
         # A fixed "bit=0" region is a valid sample at "bit=0" points only:
         # a cached "bit=0" space must not let a "bit=1" point skip REQ1.
         example = input_coin_system()
@@ -201,9 +216,10 @@ class TestProbabilityAssignment:
         assignment = ProbabilityAssignment(
             FunctionAssignment(psys, lambda agent, point: fixed)
         )
+        query = getattr(assignment, method)
         in_bit0 = next(p for p in psys.tree("bit=0").points if p.time == 0)
         in_bit1 = next(p for p in psys.tree("bit=1").points if p.time == 0)
         if query_other_tree_first:
-            assert assignment.probability(1, in_bit0, example.heads) == Fraction(1, 2)
+            assert query(1, in_bit0, example.heads) == in_bit0_answer
         with pytest.raises(Req1Error):
-            assignment.probability(1, in_bit1, example.heads)
+            query(1, in_bit1, example.heads)

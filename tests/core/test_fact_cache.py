@@ -51,3 +51,34 @@ def test_garbage_collected_fact_does_not_poison_new_facts():
     for _ in range(64):
         fresh = Fact(lambda candidate: True, name="fresh")
         assert post.satisfying_points(0, point, fresh) == post.sample_space(0, point)
+
+
+def test_distinct_fact_objects_get_distinct_query_memo_entries():
+    example = three_agent_coin_system()
+    post = standard_assignments(example.psys)["post"]
+    point = example.psys.system.points[0]
+    heads = example.heads
+    twin = Fact(heads.holds_at, name="heads-twin")
+    assert post.inner_probability(2, point, heads) == post.inner_probability(2, point, twin)
+    assert [key[-1] for key in post._query_cache] == [heads, twin]
+    first, second = post._query_cache.values()
+    # one space per sample, one event per fact
+    assert first[0] is second[0]
+    assert first[1] is not second[1]
+
+
+def test_garbage_collected_fact_does_not_poison_the_query_memo():
+    import gc
+
+    example = three_agent_coin_system()
+    post = standard_assignments(example.psys)["post"]
+    point = example.psys.system.points[0]
+    doomed = Fact(lambda candidate: False, name="doomed")
+    assert post.inner_probability(0, point, doomed) == 0
+    del doomed
+    gc.collect()
+    # allocate many facts to encourage id reuse; each must compute fresh
+    for _ in range(64):
+        fresh = Fact(lambda candidate: True, name="fresh")
+        assert post.inner_probability(0, point, fresh) == 1
+        assert post.probability_interval(0, point, fresh) == (1, 1)
