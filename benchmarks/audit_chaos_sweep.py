@@ -82,6 +82,9 @@ def main(argv=None) -> int:
     artifact_dir.mkdir(parents=True, exist_ok=True)
     checkpoint = artifact_dir / "audited-sweep.jsonl"
     bundle = Path(default_audit_path(checkpoint))
+    # a previous run's rows would be resumed and the sweep would not die
+    for stale in (checkpoint, bundle):
+        stale.unlink(missing_ok=True)
 
     print(f"phase 1: audited sweep, chaos death on task {KILL_INDEX}")
     try:

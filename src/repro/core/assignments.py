@@ -79,9 +79,11 @@ def check_req2(
     tree = check_req1(psys, point, sample_set)
     runs = tree.runs_through(sample_set)
     space = psys.run_space(tree.adversary)
-    if not space.is_measurable(runs):
-        raise Req2Error("the runs through the sample space are not measurable")
-    measure = space.measure(runs)
+    try:
+        # one event -> mask conversion decides measurability and measure
+        measure = space.measure(runs)
+    except NotMeasurableError:
+        raise Req2Error("the runs through the sample space are not measurable") from None
     if measure <= ZERO:
         raise Req2Error("the runs through the sample space have measure zero")
     return measure
@@ -170,42 +172,55 @@ def induced_point_space(
     ``mu_A`` on ``R(S_ic)``.
     """
     sample_set = frozenset(sample)
-    check_req2(psys, point, sample_set)  # REQ1 checked inside
     tree = psys.tree_of(point)
     run_space = psys.run_space(tree.adversary)
-    # group the sample by run once, so projection is linear in the sample
-    # instead of quadratic (sample x atoms) in large systems
+    # group the sample by run once: REQ1, REQ2 and the projection all
+    # read this grouping instead of each walking the sample again
     points_on_run: Dict[Run, List[Point]] = {}
     for member in sample_set:
         points_on_run.setdefault(member.run, []).append(member)
+    # REQ1: each distinct run is a run of T(c), each point within its run
+    for run, members in points_on_run.items():
+        on_tree = tree.has_run(run)
+        horizon = run.horizon
+        for member in members:
+            if not on_tree or member.time >= horizon:
+                raise Req1Error(
+                    f"sample point {member!r} lies outside T(c) "
+                    f"(adversary {tree.adversary!r})"
+                )
+    # REQ2 and the projection in one loop over the run atoms.  R(S_ic) is
+    # measurable iff every run atom it meets lies wholly inside it; its
+    # measure is then the summed atom weight, which conditioning divides
+    # by, in integer form, with no per-atom Fraction division.  Distinct
+    # run atoms project to disjoint point sets covering the sample (each
+    # point lies on exactly one run), so the projections partition it.
     atoms: List[PointSet] = []
-    weight_of: Dict[PointSet, int] = {}
-    # conditioning on R(S_ic) in integer weight form: the conditional
-    # measure of a projected atom is its run weight over the total weight
-    # of runs through the sample, with no per-atom Fraction division
+    weights: List[int] = []
+    total_weight = 0
+    on_run = points_on_run.get
     for run_atom, weight in zip(run_space.atoms, run_space.atom_weights):
-        projected = frozenset(
-            member
-            for run in run_atom
-            if run in points_on_run
-            for member in points_on_run[run]
-        )
-        if not projected:
+        met = 0
+        projected: List[Point] = []
+        for run in run_atom:
+            members = on_run(run)
+            if members is not None:
+                met += 1
+                projected += members
+        if not met:
             continue
-        if projected in weight_of:
-            weight_of[projected] += weight
-        else:
-            atoms.append(projected)
-            weight_of[projected] = weight
-    # distinct run atoms project to disjoint point sets covering the
-    # sample (each point lies on exactly one run), so the projections are
-    # a partition by construction; the weights sum to the denominator by
-    # construction, and check_req2 guarantees the denominator is positive
-    total_weight = sum(weight_of.values())
+        if met != len(run_atom):
+            raise Req2Error("the runs through the sample space are not measurable")
+        atoms.append(frozenset(projected))
+        weights.append(weight)
+        total_weight += weight
+    if total_weight <= 0:
+        raise Req2Error("the runs through the sample space have measure zero")
     return FiniteProbabilitySpace._from_atom_weights(
         tuple(atoms),
-        tuple(weight_of[atom] for atom in atoms),
+        tuple(weights),
         total_weight,
+        outcomes=sample_set,
         interval_cache_maxsize=psys.interval_cache_maxsize,
     )
 

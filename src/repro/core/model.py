@@ -187,35 +187,29 @@ class Point(NamedTuple):
 class System:
     """A system: a set of runs, with indexed knowledge queries.
 
-    The constructor materialises every point and builds, per agent, an index
-    from local state to the points carrying it, so that ``K_i(c)`` is a
-    dictionary lookup rather than a pairwise scan.  (The naive scan is kept
-    as :meth:`knowledge_set_naive` for the indexing ablation benchmark.)
+    The constructor materialises every point.  Agent ``i``'s index from
+    local state to the points carrying it is built on the first query
+    that reads it (:meth:`_classes`), so that ``K_i(c)`` is a dictionary
+    lookup rather than a pairwise scan and an agent nobody asks about
+    costs nothing.  (The naive scan is kept as :meth:`knowledge_set_naive`
+    for the indexing ablation benchmark.)
     """
 
     def __init__(self, runs: Iterable[Run]) -> None:
-        self._runs: Tuple[Run, ...] = tuple(dict.fromkeys(runs))
+        self._run_set: Dict[Run, None] = dict.fromkeys(runs)
+        self._runs: Tuple[Run, ...] = tuple(self._run_set)
         if not self._runs:
             raise ModelError("a system must contain at least one run")
         agent_counts = {run.num_agents for run in self._runs}
         if len(agent_counts) != 1:
             raise ModelError("all runs of a system must have the same agent count")
         self._num_agents = agent_counts.pop()
-        self._by_local: List[Dict[LocalState, List[Point]]] = [
-            {} for _ in range(self._num_agents)
+        self._points: Tuple[Point, ...] = tuple(
+            Point(run, time) for run in self._runs for time in range(len(run.states))
+        )
+        self._by_local: List[Optional[Dict[LocalState, List[Point]]]] = [
+            None for _ in range(self._num_agents)
         ]
-        by_local = self._by_local
-        points: List[Point] = []
-        # read each run's state tuple directly: the per-point
-        # ``local_state`` dispatch chain dominates construction on
-        # thousand-run systems
-        for run in self._runs:
-            for time, state in enumerate(run.states):
-                point = Point(run, time)
-                points.append(point)
-                for agent, local in enumerate(state.local_states):
-                    by_local[agent].setdefault(local, []).append(point)
-        self._points: Tuple[Point, ...] = tuple(points)
         self._knowledge_cache: List[Dict[LocalState, FrozenSet[Point]]] = [
             {} for _ in range(self._num_agents)
         ]
@@ -232,6 +226,30 @@ class System:
         self._class_matrices: List[Optional[object]] = [
             None for _ in range(self._num_agents)
         ]
+
+    def _classes(self, agent: int) -> Dict[LocalState, List[Point]]:
+        """``agent``'s local state -> its points, built on first read.
+
+        Every knowledge accessor reads through here.  Classes are inserted
+        in :attr:`points` order, so class masks and their order do not
+        depend on which accessor asked first.
+        """
+        classes = self._by_local[agent]
+        if classes is None:
+            classes = {}
+            # read each run's state tuple directly: the per-point
+            # ``local_state`` dispatch chain dominates on thousand-run
+            # systems
+            states = (state for run in self._runs for state in run.states)
+            for point, state in zip(self._points, states):
+                local = state.local_states[agent]
+                members = classes.get(local)
+                if members is None:
+                    classes[local] = [point]
+                else:
+                    members.append(point)
+            self._by_local[agent] = classes
+        return classes
 
     # ------------------------------------------------------------------
     # Structure
@@ -266,7 +284,7 @@ class System:
         return max(run.horizon for run in self._runs)
 
     def __contains__(self, point: Point) -> bool:
-        return point.run in self._runs and 0 <= point.time < point.run.horizon
+        return point.run in self._run_set and 0 <= point.time < point.run.horizon
 
     # ------------------------------------------------------------------
     # Knowledge
@@ -281,7 +299,7 @@ class System:
         local = point.local_state(agent)
         cache = self._knowledge_cache[agent]
         if local not in cache:
-            cache[local] = frozenset(self._by_local[agent].get(local, ()))
+            cache[local] = frozenset(self._classes(agent).get(local, ()))
         return cache[local]
 
     def knowledge_set_naive(self, agent: int, point: Point) -> FrozenSet[Point]:
@@ -319,7 +337,7 @@ class System:
         if masks is None:
             index = self.point_index
             masks = tuple(
-                index.mask_of(points) for points in self._by_local[agent].values()
+                index.mask_of(points) for points in self._classes(agent).values()
             )
             self._class_masks[agent] = masks
         return masks
@@ -339,7 +357,7 @@ class System:
 
             index = self.point_index
             kernel = wordmask.PartitionKernel.from_blocks(
-                self._by_local[agent].values(), index.position, len(index)
+                self._classes(agent).values(), index.position, len(index)
             )
             self._partition_kernels[agent] = kernel
         return kernel
@@ -368,7 +386,7 @@ class System:
         cache = self._knowledge_masks[agent]
         mask = cache.get(local)
         if mask is None:
-            mask = self.point_index.mask_of(self._by_local[agent].get(local, ()))
+            mask = self.point_index.mask_of(self._classes(agent).get(local, ()))
             cache[local] = mask
         return mask
 
@@ -380,7 +398,7 @@ class System:
     def local_state_classes(self, agent: int) -> Dict[LocalState, Tuple[Point, ...]]:
         """The information partition of ``agent``: local state -> its points."""
         return {
-            local: tuple(points) for local, points in self._by_local[agent].items()
+            local: tuple(points) for local, points in self._classes(agent).items()
         }
 
     # ------------------------------------------------------------------
@@ -391,7 +409,7 @@ class System:
         """Section 6's definition (from HV89): if ``r_i(k) = r'_i(k')`` then
         ``k = k'`` -- effectively, every agent can read a global clock."""
         for agent in self.agents:
-            for points in self._by_local[agent].values():
+            for points in self._classes(agent).values():
                 times = {point.time for point in points}
                 if len(times) > 1:
                     return False

@@ -35,8 +35,9 @@ class _TreeIndexed(SampleSpaceAssignment):
     """Shared machinery: a per-tree index from a key to the points having it.
 
     Each subclass groups a tree's points by the one key its sample spaces
-    read (:meth:`_groups`), so an assignment builds only its own index.
-    The index is built eagerly, here, for every tree.
+    read (:meth:`_groups`), so an assignment builds only its own index,
+    here, for every tree.  A subclass whose cells derive from an index the
+    system already owns yields no groups and fills cells on first use.
     """
 
     def __init__(self, psys: ProbabilisticSystem, name: Optional[str] = None) -> None:
@@ -55,27 +56,27 @@ class _TreeIndexed(SampleSpaceAssignment):
 
 
 class _LocalIndexed(_TreeIndexed):
-    """Indexed by ``(adversary, agent, local state)``: ``Tree_ic`` ingredients."""
+    """``Tree_ic = K_i(c) intersect T(c)``, cached per (tree, agent, local state).
+
+    ``K_i(c)`` is the system's own local-state class, so no second
+    per-point index is built.  With one tree ``K_i(c) subseteq T(c)``
+    holds by construction and the cell is the class itself.
+    """
 
     def _groups(self, tree: ComputationTree) -> Iterable[Tuple[tuple, List[Point]]]:
-        agent_locals: List[Dict[object, List[Point]]] = []
-        # read each run's state tuple directly instead of dispatching
-        # through point.local_state: this loop touches every (point,
-        # agent) pair of every tree
-        for point in tree.points:
-            locals_ = point.run.states[point.time].local_states
-            if len(agent_locals) < len(locals_):
-                agent_locals.extend({} for _ in range(len(locals_) - len(agent_locals)))
-            for agent, local in enumerate(locals_):
-                agent_locals[agent].setdefault(local, []).append(point)
-        adversary = tree.adversary
-        for agent, mapping in enumerate(agent_locals):
-            for local, points in mapping.items():
-                yield (adversary, agent, local), points
+        return ()
 
-    def tree_points_with_local(self, tree: ComputationTree, agent: int, local) -> PointSet:
-        """``Tree_ic`` ingredients: points of the tree with a given local state."""
-        return self._index.get((tree.adversary, agent, local), frozenset())
+    def tree_points_with_local(self, tree: ComputationTree, point: Point, agent: int) -> PointSet:
+        """``Tree_ic``: the points of ``tree`` where ``agent`` has its local
+        state at ``point``."""
+        key = (tree.adversary, agent, point.local_state(agent))
+        cell = self._index.get(key)
+        if cell is None:
+            cell = self.psys.system.knowledge_set(agent, point)
+            if len(self.psys.adversaries) > 1:
+                cell = frozenset(filter(tree.contains_point, cell))
+            self._index[key] = cell
+        return cell
 
 
 class PostAssignment(_LocalIndexed):
@@ -85,8 +86,7 @@ class PostAssignment(_LocalIndexed):
         super().__init__(psys, name="post")
 
     def sample_space(self, agent: int, point: Point) -> PointSet:
-        tree = self.psys.tree_of(point)
-        return self.tree_points_with_local(tree, agent, point.local_state(agent))
+        return self.tree_points_with_local(self.psys.tree_of(point), point, agent)
 
 
 class FutureAssignment(_TreeIndexed):
@@ -131,10 +131,8 @@ class OpponentAssignment(_LocalIndexed):
 
     def sample_space(self, agent: int, point: Point) -> PointSet:
         tree = self.psys.tree_of(point)
-        mine = self.tree_points_with_local(tree, agent, point.local_state(agent))
-        theirs = self.tree_points_with_local(
-            tree, self.opponent, point.local_state(self.opponent)
-        )
+        mine = self.tree_points_with_local(tree, point, agent)
+        theirs = self.tree_points_with_local(tree, point, self.opponent)
         return mine & theirs
 
 

@@ -207,16 +207,17 @@ class FiniteProbabilitySpace:
             self._index: Optional[OutcomeIndex] = index
             if self._backend == "wordarray":
                 self._atom_masks: Tuple[int, ...] = ()
-            elif all(len(atom) == 1 for atom in self._atoms):
-                # powerset algebra: the index enumerated outcomes in atom
-                # order, so atom i owns exactly bit i
-                self._atom_masks = tuple(
-                    1 << position for position in range(len(self._atoms))
-                )
             else:
-                self._atom_masks = tuple(
-                    index.mask_of(atom) for atom in self._atoms
-                )
+                # the index enumerated outcomes atom by atom and the atoms
+                # partition them, so each atom owns one contiguous run of
+                # bits (atom i owns exactly bit i in a powerset algebra)
+                masks = []
+                start = 0
+                for atom in self._atoms:
+                    size = len(atom)
+                    masks.append(((1 << size) - 1) << start)
+                    start += size
+                self._atom_masks = tuple(masks)
             self._interval_cache: Optional[IntervalCache] = IntervalCache(
                 cache_maxsize if cache_maxsize is not None else self.interval_cache_size
             )
@@ -276,6 +277,7 @@ class FiniteProbabilitySpace:
         atom_tuple: Tuple[Atom, ...],
         weights: Tuple[int, ...],
         denominator: int,
+        outcomes: Optional[Event] = None,
         interval_cache_maxsize: Optional[int] = None,
     ) -> "FiniteProbabilitySpace":
         """Internal constructor from integer atom weights.
@@ -285,13 +287,14 @@ class FiniteProbabilitySpace:
         Callers guarantee the atoms partition their union and the weights
         are nonnegative ints summing to ``denominator > 0`` -- e.g.
         conditioning a validated run measure on a measurable event, where
-        both facts hold by construction.
+        both facts hold by construction.  A caller already holding that
+        union as a frozenset passes it as ``outcomes``.
         """
         self = cls.__new__(cls)
         self._atoms = atom_tuple
-        self._outcomes = (
-            frozenset().union(*atom_tuple) if atom_tuple else frozenset()
-        )
+        if outcomes is None:
+            outcomes = frozenset().union(*atom_tuple) if atom_tuple else frozenset()
+        self._outcomes = outcomes
         self._probabilities_dict = None
         self._finalise(
             weights=tuple(weights),

@@ -136,7 +136,7 @@ class ProbabilisticSystem:
     def run_probability(self, run: Run) -> Fraction:
         """The probability of a run within its own tree's space."""
         for tree in self._trees.values():
-            if run in tree.runs:
+            if tree.has_run(run):
                 return tree.run_probability(run)
         raise TreeError("run does not belong to any tree of this system")
 

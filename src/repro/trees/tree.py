@@ -84,12 +84,16 @@ class ComputationTree:
         # Enumerate runs depth-first, accumulating each run's probability
         # along the way: one multiply per tree edge instead of one per
         # (run, edge) pair as the old per-run _product_along pass paid.
+        # Each node is the tail of exactly one popped path, so the node
+        # set is collected here too.
         runs: List[Run] = []
         run_probability: Dict[Run, Fraction] = {}
+        nodes: List[GlobalState] = []
         stack: List[Tuple[Tuple[GlobalState, ...], Fraction]] = [((root,), ONE)]
         while stack:
             path, probability = stack.pop()
             tail = path[-1]
+            nodes.append(tail)
             kids = self._children.get(tail, ())
             if not kids:
                 run = Run(path)
@@ -107,19 +111,12 @@ class ComputationTree:
             raise InvalidMeasureError(
                 f"run probabilities sum to {total}, not 1 (tree mislabeled?)"
             )
-        points: List[Point] = []
-        node_runs: Dict[GlobalState, List[Run]] = {}
-        for run in runs:
-            for time, state in enumerate(run.states):
-                points.append(Point(run, time))
-                node_runs.setdefault(state, []).append(run)
-        self._points: Tuple[Point, ...] = tuple(points)
-        # node -> runs through it, precomputed so runs_through_node is a
-        # lookup instead of a runs x states scan per query
-        self._node_runs: Dict[GlobalState, FrozenSet[Run]] = {
-            node: frozenset(through) for node, through in node_runs.items()
-        }
-        self._node_set: FrozenSet[GlobalState] = frozenset(node_runs)
+        self._points: Tuple[Point, ...] = tuple(
+            Point(run, time) for run in runs for time in range(len(run.states))
+        )
+        self._node_set: FrozenSet[GlobalState] = frozenset(nodes)
+        # node -> runs through it, built on the first runs_through_node
+        self._node_runs: Optional[Dict[GlobalState, FrozenSet[Run]]] = None
 
     # ------------------------------------------------------------------
     # Validation
@@ -264,12 +261,25 @@ class ComputationTree:
         """``R(S)``: the runs passing through a set of points (Section 5)."""
         return frozenset(point.run for point in points)
 
+    def has_run(self, run: Run) -> bool:
+        """True iff ``run`` is a run of this tree (a hash lookup)."""
+        return run in self._run_probability
+
     def runs_through_node(self, node: GlobalState) -> FrozenSet[Run]:
-        """The runs passing through a given global state (indexed lookup)."""
-        try:
-            return self._node_runs[node]
-        except KeyError:
-            return frozenset()
+        """The runs passing through a given global state (indexed lookup).
+
+        The ``node -> runs`` index is built on the first call, in one
+        pass over the runs' states.
+        """
+        node_runs = self._node_runs
+        if node_runs is None:
+            through: Dict[GlobalState, List[Run]] = {}
+            for run in self._runs:
+                for state in run.states:
+                    through.setdefault(state, []).append(run)
+            node_runs = {state: frozenset(runs) for state, runs in through.items()}
+            self._node_runs = node_runs
+        return node_runs.get(node, frozenset())
 
     def runs_through_node_naive(self, node: GlobalState) -> FrozenSet[Run]:
         """:meth:`runs_through_node` via a runs x states scan (ablation

@@ -19,6 +19,7 @@ from repro.core import (
 )
 from repro.errors import AssignmentError
 from repro.examples_lib import three_agent_coin_system
+from repro.testing import random_psys
 
 
 @pytest.fixture(scope="module")
@@ -197,3 +198,83 @@ class TestPaperValues:
         half = Fraction(1, 2)
         assert against_p2.knows_probability_at_least(0, c, heads, half)
         assert not against_p3.knows_probability_at_least(0, c, heads, half)
+
+
+MULTI_TREE_PROFILES = [("blind", "clock"), ("parity", "blind"), ("clock", "parity")]
+
+
+class TestTreeIcAcrossTrees:
+    """``Tree_ic = K_i(c) intersect T(c)`` where ``K_i(c)`` spans several trees.
+
+    The coin above has one tree, where ``K_i(c) subseteq T(c)`` always
+    holds; these systems have two or three, with agents that cannot tell
+    the trees apart.
+    """
+
+    @pytest.mark.parametrize("profile", MULTI_TREE_PROFILES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_post_and_opponent_samples_are_brute_force(self, seed, profile):
+        psys = random_psys(seed, num_trees=2 + seed % 2, observability=profile)
+        system = psys.system
+        post = PostAssignment(psys)
+        opponents = [OpponentAssignment(psys, j) for j in system.agents]
+        spans_trees = False
+        for point in system.points:
+            tree = psys.tree_of(point)
+            for agent in system.agents:
+                mine = frozenset(
+                    d for d in tree.points if system.indistinguishable(agent, point, d)
+                )
+                spans_trees |= mine != system.knowledge_set(agent, point)
+                assert post.sample_space(agent, point) == mine
+                for opponent in opponents:
+                    joint = frozenset(
+                        d
+                        for d in mine
+                        if system.indistinguishable(opponent.opponent, point, d)
+                    )
+                    assert opponent.sample_space(agent, point) == joint
+        assert spans_trees
+
+    @pytest.mark.parametrize(
+        "first",
+        [
+            "knowledge_set",
+            "knowledge_mask",
+            "agent_class_masks",
+            "local_state_classes",
+            "is_synchronous",
+        ],
+    )
+    @pytest.mark.parametrize("profile", MULTI_TREE_PROFILES)
+    def test_lazy_classes_match_a_grouping_over_points(self, first, profile):
+        system = random_psys(5, num_trees=2, observability=profile).system
+        expected = [{} for _ in system.agents]
+        for point in system.points:
+            for agent in system.agents:
+                expected[agent].setdefault(point.local_state(agent), []).append(point)
+        probe = system.points[-1]
+        if first == "is_synchronous":
+            system.is_synchronous()
+        elif first in ("knowledge_set", "knowledge_mask"):
+            getattr(system, first)(1, probe)
+        else:
+            getattr(system, first)(1)
+        index = system.point_index
+        for agent in system.agents:
+            classes = expected[agent]
+            assert system.agent_class_masks(agent) == tuple(
+                index.mask_of(points) for points in classes.values()
+            )
+            listed = system.local_state_classes(agent)
+            assert list(listed) == list(classes)
+            assert listed == {local: tuple(points) for local, points in classes.items()}
+            for point in system.points:
+                members = classes[point.local_state(agent)]
+                assert system.knowledge_set(agent, point) == frozenset(members)
+                assert system.knowledge_mask(agent, point) == index.mask_of(members)
+        assert system.is_synchronous() == all(
+            len({point.time for point in points}) == 1
+            for classes in expected
+            for points in classes.values()
+        )
