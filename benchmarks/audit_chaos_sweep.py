@@ -8,8 +8,8 @@ The acceptance scenario behind the ``verify-audit`` CI job, end to end:
 2. Tear the final record of both the checkpoint and the bundle
    mid-line, as a kill inside ``write`` would, so the resume must cut
    each torn tail before it appends.
-3. Resume with :func:`repro.robustness.resume_guarantee_sweep`
-   (``audit=True`` again): the engine skips checkpointed rows, backfills
+3. Resume by calling :func:`repro.robustness.robust_guarantee_sweep`
+   again on the same checkpoint (``audit=True`` again): the engine skips checkpointed rows, backfills
    any audit leaves the kill swallowed, and continues the Merkle chain.
 4. Assert the merged rows equal the serial sweep's, then run the full
    ``tools/verifyaudit`` tier stack over the bundle -- hash chain,
@@ -39,7 +39,6 @@ from repro.errors import RetryExhaustedError  # noqa: E402
 from repro.robustness import (  # noqa: E402
     RetryPolicy,
     default_audit_path,
-    resume_guarantee_sweep,
     robust_guarantee_sweep,
 )
 from repro.robustness.faults import InjectedFault  # noqa: E402
@@ -109,8 +108,8 @@ def main(argv=None) -> int:
         _tear_final_record(path)
 
     print("phase 3: resume (healthy task function, chain continues)")
-    rows = resume_guarantee_sweep(
-        checkpoint, MESSENGERS, LOSSES, max_workers=1, audit=True
+    rows = robust_guarantee_sweep(
+        MESSENGERS, LOSSES, max_workers=1, checkpoint_path=checkpoint, audit=True
     )
     if rows != guarantee_sweep(MESSENGERS, LOSSES):
         print("  ERROR: resumed rows differ from serial sweep", file=sys.stderr)

@@ -176,9 +176,9 @@ def bench_sweep(records, messengers, repeats: int, trace) -> None:
             "params": {"messengers": list(messengers), "losses": losses},
             "system": system_size,
             "seconds": round(parallel_seconds, 4),
-            # Workers run in their own processes with the default
-            # NullRecorder, so parent-side counters only cover the pool
-            # bookkeeping -- see docs/observability.md.
+            # _timed installs a MetricsRecorder, so the engine ships each
+            # worker's observation delta home and these counters cover
+            # the workers' work too -- see docs/observability.md.
             "counters": parallel_counters,
             "results": {"rows_match_serial": True},
         }
@@ -225,7 +225,7 @@ def bench_robust_sweep(records, messengers, repeats: int, trace) -> None:
     chaos run still returns exactly the serial sweep's rows.
     """
     from repro.attack.sweep import sweep_row_of, sweep_tasks
-    from repro.robustness.engine import RetryPolicy, run_tasks
+    from repro.attack.engine import RetryPolicy, run_tasks
     from repro.robustness.faults import FaultInjectingTask, FaultPlan
 
     losses = [Fraction(1, 2)]

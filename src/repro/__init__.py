@@ -39,7 +39,6 @@ from .errors import (
     RetryExhaustedError,
     TaskTimeoutError,
     ValidationError,
-    WorkerTaskError,
 )
 
 __all__ = [
@@ -53,6 +52,5 @@ __all__ = [
     "RetryExhaustedError",
     "TaskTimeoutError",
     "ValidationError",
-    "WorkerTaskError",
     "__version__",
 ]

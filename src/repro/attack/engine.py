@@ -1,10 +1,8 @@
-"""Fault-tolerant task engine behind the robust guarantee sweeps.
+"""The one process-pool executor behind every parallel sweep.
 
-The parallel runner of :mod:`repro.attack.parallel` treats the process
-pool as all-or-nothing: any pool-level failure throws away every
-completed result and re-runs the whole sweep serially.  This engine
-replaces that fallback for production-shaped workloads with per-task
-fault tolerance:
+Both :func:`repro.attack.parallel.parallel_guarantee_sweep` and the
+checkpointed :func:`repro.robustness.checkpoint.robust_guarantee_sweep`
+run their tasks here, with per-task fault tolerance:
 
 * **Bounded retries with deterministic backoff.**  Each task gets up to
   :attr:`RetryPolicy.max_attempts` tries; the delay before a retry is an
@@ -31,6 +29,12 @@ that *does* surface from a future is pool infrastructure by construction
 (see :data:`POOL_INFRASTRUCTURE_ERRORS`) and degrades to in-process
 execution without re-running completed tasks.
 
+Each worker payload carries the parent's measure backend
+(:func:`~repro.probability.bitset.get_default_backend`) and runs its task
+under :func:`~repro.probability.bitset.use_backend`: a spawned worker
+starts on the module default, so without this the parent's choice would
+silently not apply there.  Rows are backend-independent either way.
+
 Results are returned in the deterministic serial task order regardless
 of which worker finished first, which keeps the Proposition 11 sweep
 rows row-for-row identical to the serial sweep.
@@ -38,12 +42,12 @@ rows row-for-row identical to the serial sweep.
 
 from __future__ import annotations
 
-import os
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pickle import PicklingError
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
@@ -52,6 +56,7 @@ from ..errors import RetryExhaustedError, TaskTimeoutError
 from ..obs.clock import monotonic
 from ..obs.recorder import NULL_RECORDER, Recorder, get_recorder
 from ..obs.snapshot import ObsDeltaCapture, merge_worker_delta
+from ..probability.bitset import get_default_backend, use_backend
 
 try:
     import resource as _resource
@@ -229,22 +234,23 @@ def _call(function: Callable, task, index: int, attempt: int):
     return function(task)
 
 
-def _execute_task(payload: Tuple[Callable, object, int, int, bool]) -> _TaskOutcome:
+def _execute_task(
+    payload: Tuple[Callable, object, int, int, bool, str]
+) -> _TaskOutcome:
     """Module-level worker entry point (picklable by reference).
 
-    The trailing ``ship_obs`` payload flag is set by the parent exactly
-    when it has a real recorder installed: the attempt then runs under
-    an :class:`~repro.obs.snapshot.ObsDeltaCapture` and the envelope
+    The ``ship_obs`` payload flag is set by the parent exactly when it
+    has a real recorder installed: the attempt then runs under an
+    :class:`~repro.obs.snapshot.ObsDeltaCapture` and the envelope
     carries the observation delta home.  With the flag off the path is
-    unchanged -- uninstrumented sweeps pay nothing.
+    unchanged -- uninstrumented sweeps pay nothing.  ``backend`` is the
+    parent's measure backend; switching to it emits nothing when the
+    worker already runs it (a forked worker inherits it).
     """
-    function, task, index, attempt, ship_obs = payload
+    function, task, index, attempt, ship_obs, backend = payload
     capture = ObsDeltaCapture() if ship_obs else None
     try:
-        if capture is not None:
-            with capture:
-                value = _call(function, task, index, attempt)
-        else:
+        with capture if capture is not None else nullcontext(), use_backend(backend):
             value = _call(function, task, index, attempt)
     except Exception as error:
         outcome = _capture_failure(error)
@@ -306,6 +312,7 @@ class _EngineState:
         # the identity check keeps the uninstrumented path byte-for-byte
         # what it was.
         self.ship_obs = self.recorder is not NULL_RECORDER
+        self.backend = get_default_backend()
 
     def register(self, index: int) -> None:
         self._next_attempt[index] = 0
@@ -469,7 +476,6 @@ def _run_pool(state: _EngineState, max_workers: Optional[int]) -> None:
             try:
                 for index in pending:
                     attempt = state.attempt_number(index)
-                    submitted[index] = attempt
                     futures[index] = pool.submit(
                         _execute_task,
                         (
@@ -478,8 +484,10 @@ def _run_pool(state: _EngineState, max_workers: Optional[int]) -> None:
                             index,
                             attempt,
                             state.ship_obs,
+                            state.backend,
                         ),
                     )
+                    submitted[index] = attempt
             except (BrokenProcessPool, RuntimeError):
                 # The pool died between rounds; tasks not yet submitted
                 # have consumed no attempt.  Rebuild and retry them.

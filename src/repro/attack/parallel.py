@@ -1,199 +1,26 @@
-"""Parallel fan-out for sweeps and enumeration workloads.
+"""Parallel fan-out for the Proposition 11 guarantee sweep.
 
-The guarantee sweeps of Proposition 11 -- and the Theorem 7/8/9 style
-enumerations generally -- are embarrassingly parallel: every
-protocol/parameter combination builds its own system and queries it
-independently, with exact :class:`fractions.Fraction` results that are
-cheap to pickle.  This module fans such workloads across a
-:class:`concurrent.futures.ProcessPoolExecutor` while keeping the one
-property the analyses rely on: **deterministic result ordering**.  Tasks
-are enumerated up front in serial order (:func:`repro.attack.sweep.sweep_tasks`)
-and ``Executor.map`` preserves input order, so the parallel sweep returns
-exactly the same row list as the serial one -- only faster.
-
-Exceptions raised *by a task* never travel through the pool as raised
-exceptions: the worker wraps them in a :class:`_TaskFailure` envelope and
-the parent re-raises them after the map completes.  Any exception that
-does surface from the pool machinery is therefore infrastructure by
-construction, and only those trigger the in-process fallback --
-environments without working process pools (restricted sandboxes,
-missing ``/dev/shm``, non-picklable custom builders) degrade gracefully
-and still return the same rows, while a genuine task error is raised
-exactly once, never re-executed serially first.
+The sweep is embarrassingly parallel: every protocol/parameter
+combination builds its own system and queries it independently, with
+exact :class:`fractions.Fraction` results that are cheap to pickle.
+:func:`parallel_guarantee_sweep` hands the deterministic serial task
+list (:func:`repro.attack.sweep.sweep_tasks`) to the one executor,
+:func:`repro.attack.engine.run_tasks`, which returns results in task
+order -- so the parallel sweep returns exactly the serial row list --
+falls back in-process where process pools are unavailable, and runs
+every worker under the parent's measure backend.
 """
 
 from __future__ import annotations
 
-import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from pickle import PicklingError
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Dict, List, Optional, Sequence
 
-from ..errors import WorkerTaskError
-from ..obs.recorder import NULL_RECORDER, get_recorder
-from ..obs.snapshot import ObsDeltaCapture, merge_worker_delta
-from ..probability.bitset import get_default_backend
 from ..probability.fractionutil import FractionLike
+from .engine import run_tasks
 from .sweep import Builder, SweepRow, sweep_row_of, sweep_tasks
 
-__all__ = ["parallel_map", "parallel_guarantee_sweep", "POOL_FALLBACK_ERRORS"]
-
-_Item = TypeVar("_Item")
-_Result = TypeVar("_Result")
-
-#: Errors that mean "a process pool cannot be used here" rather than "the
-#: workload failed": pool creation being refused by the OS or the
-#: platform, payloads that cannot cross a process boundary (CPython
-#: raises AttributeError/TypeError, not just PicklingError, for closures
-#: and unpicklable state), or the pool dying underneath us.  Because the
-#: worker wraps task exceptions in a :class:`_TaskFailure` envelope, an
-#: exception of one of these types raised *by the pool map* is provably
-#: infrastructure, so falling back to in-process execution never
-#: re-executes a task whose own code failed.
-POOL_FALLBACK_ERRORS = (
-    OSError,
-    NotImplementedError,
-    PicklingError,
-    AttributeError,
-    TypeError,
-    BrokenProcessPool,
-)
-
-
-@dataclass(frozen=True)
-class _TaskFailure:
-    """Worker-side envelope carrying a task's exception back as a value.
-
-    ``error`` is the original exception when it survives a pickle
-    round-trip; otherwise it is ``None`` and ``summary`` alone describes
-    the failure.  ``obs_delta``/``worker`` carry the attempt's shipped
-    observations when the parent asked for telemetry.
-    """
-
-    summary: str
-    error: Optional[BaseException] = None
-    obs_delta: Optional[Dict] = None
-    worker: Optional[int] = None
-
-    def reraise(self):
-        if self.error is not None:
-            raise self.error
-        raise WorkerTaskError(self.summary)
-
-
-@dataclass(frozen=True)
-class _TaskSuccess:
-    """Worker-side envelope pairing a result with its observation delta.
-
-    Only used when telemetry shipping is on: the plain (unwrapped)
-    return value stays the envelope for uninstrumented runs, so the
-    byte-identical fast path is untouched.
-    """
-
-    value: object
-    obs_delta: Optional[Dict] = None
-    worker: Optional[int] = None
-
-
-def _enveloped_call(
-    payload: Tuple[Callable, object, bool]
-) -> Union[object, _TaskSuccess, _TaskFailure]:
-    """Run one task in a worker, converting its exception into a value.
-
-    The trailing ``ship_obs`` flag mirrors the sweep engine's: set by
-    the parent exactly when it has a real recorder installed, it runs
-    the task under an :class:`~repro.obs.snapshot.ObsDeltaCapture` and
-    ships the delta home inside the envelope.
-    """
-    function, item, ship_obs = payload
-    capture = ObsDeltaCapture() if ship_obs else None
-    try:
-        if capture is not None:
-            with capture:
-                value = function(item)
-        else:
-            return function(item)
-    except Exception as error:
-        summary = f"{type(error).__name__}: {error}"
-        # Round-trip, not just dumps: an exception that pickles but fails
-        # to *unpickle* would be misread by the parent as pool
-        # infrastructure and trigger the serial fallback.
-        try:
-            pickle.loads(pickle.dumps(error))
-        except Exception:
-            error = None
-        failure = _TaskFailure(summary=summary, error=error)
-        if capture is not None:
-            failure = _TaskFailure(
-                summary=summary,
-                error=error,
-                obs_delta=capture.delta,
-                worker=capture.worker,
-            )
-        return failure
-    return _TaskSuccess(value=value, obs_delta=capture.delta, worker=capture.worker)
-
-
-def parallel_map(
-    function: Callable[[_Item], _Result],
-    items: Sequence[_Item],
-    max_workers: Optional[int] = None,
-) -> List[_Result]:
-    """Order-preserving ``map`` over worker processes.
-
-    ``function`` must be picklable (a module-level function); results come
-    back in the order of ``items`` regardless of which worker finished
-    first.  ``max_workers=1`` -- or any condition in
-    :data:`POOL_FALLBACK_ERRORS` raised by the pool machinery itself --
-    runs the same map in-process, so callers never need to branch on
-    platform capabilities.  A task's own exception is re-raised exactly
-    once, without re-running any task.
-    """
-    work = list(items)
-    if max_workers is not None and max_workers < 1:
-        raise ValueError("parallel_map needs at least one worker")
-    recorder = get_recorder()
-    with recorder.span("parallel_map", tasks=len(work)):
-        recorder.counter("parallel.tasks", len(work))
-        if len(work) <= 1 or max_workers == 1:
-            return [function(item) for item in work]
-        # Ship worker observations only when someone is listening; the
-        # identity check keeps uninstrumented payloads byte-identical.
-        ship_obs = recorder is not NULL_RECORDER
-        try:
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                outcomes = list(
-                    pool.map(
-                        _enveloped_call,
-                        [(function, item, ship_obs) for item in work],
-                    )
-                )
-        except POOL_FALLBACK_ERRORS as error:
-            recorder.counter("parallel.pool_fallbacks")
-            recorder.event(
-                "pool_fallback", reason=f"{type(error).__name__}: {error}"
-            )
-            return [function(item) for item in work]
-        # Merge every shipped delta before any reraise: the work behind a
-        # failing map still happened, and its counters stay attributable.
-        for outcome in outcomes:
-            if (
-                isinstance(outcome, (_TaskSuccess, _TaskFailure))
-                and outcome.obs_delta is not None
-            ):
-                merge_worker_delta(recorder, outcome.obs_delta, worker=outcome.worker)
-        results: List[_Result] = []
-        for outcome in outcomes:
-            if isinstance(outcome, _TaskFailure):
-                outcome.reraise()
-            if isinstance(outcome, _TaskSuccess):
-                outcome = outcome.value
-            results.append(outcome)
-        return results
+__all__ = ["parallel_guarantee_sweep"]
 
 
 def parallel_guarantee_sweep(
@@ -202,23 +29,12 @@ def parallel_guarantee_sweep(
     builders: Optional[Dict[str, Builder]] = None,
     epsilon: FractionLike = Fraction(99, 100),
     max_workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> List[SweepRow]:
     """:func:`~repro.attack.sweep.guarantee_sweep`, fanned across processes.
 
     Row-for-row identical to the serial sweep (same task enumeration, same
     ordering, same exact Fractions); custom ``builders`` must be
     module-level callables so they can be shipped to workers.
-
-    The measure backend is resolved *here* (``backend`` if given, else
-    the parent's process default) and shipped to the workers inside the
-    task function: worker processes start with the module default
-    ``"bitmask"``, so without this the parent's ``use_backend`` choice
-    would silently not apply to them.
     """
     tasks = sweep_tasks(messenger_counts, losses, builders, epsilon)
-    active = backend if backend is not None else get_default_backend()
-    # functools.partial of a module-level function pickles by reference,
-    # so the bound backend string crosses the process boundary intact.
-    row_of = partial(sweep_row_of, backend=active)
-    return parallel_map(row_of, tasks, max_workers=max_workers)
+    return run_tasks(sweep_row_of, tasks, max_workers=max_workers)

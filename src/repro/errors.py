@@ -114,7 +114,7 @@ class ExecutionError(ReproError):
     a task either returns its exact Fractions or the engine must say
     precisely which task failed and how.  Instances carry the failing
     task's identity (``task_index``, ``task``) and the full attempt log
-    (a tuple of ``repro.robustness.engine.TaskAttempt`` records).
+    (a tuple of ``repro.attack.engine.TaskAttempt`` records).
     """
 
     def __init__(
@@ -209,14 +209,4 @@ class ProvenanceError(ReproError):
     whose schema marker is missing or wrong, or whose node structure is not
     a well-formed derivation tree, so a report is never silently built from
     a file that was not produced by ``Model.explain``.
-    """
-
-
-class WorkerTaskError(ReproError):
-    """A task raised inside a worker process and the original exception
-    could not cross the process boundary (it was unpicklable).
-
-    Carries the worker-side ``repr`` summary of the original error so the
-    failure stays attributable even when the exception object itself
-    cannot be shipped back.
     """

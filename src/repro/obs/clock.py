@@ -7,7 +7,7 @@ latent nondeterminism bug.  reprolint rule RL008 statically forbids
 ``time.time`` / ``time.perf_counter`` / ``time.monotonic`` /
 ``datetime.now`` everywhere in ``src/repro`` *except* this subpackage;
 code that legitimately needs durations (span timing here, the timeout
-bookkeeping of :mod:`repro.robustness.engine`) imports these wrappers so
+bookkeeping of :mod:`repro.attack.engine`) imports these wrappers so
 every clock read in the library is greppable in one place.
 
 Clock readings only ever flow into observability artifacts (trace

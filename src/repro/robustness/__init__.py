@@ -4,9 +4,10 @@ The guarantee sweeps of Proposition 11 (Section 8) are the repo's first
 production-shaped workload; this package keeps them delivering *exact*
 answers under partial failure:
 
-* :mod:`repro.robustness.engine` -- a fault-tolerant task engine with
-  per-task timeouts, bounded retries under deterministic seeded backoff,
-  and worker-crash recovery that requeues only incomplete tasks.
+* :mod:`repro.attack.engine` (re-exported here) -- the fault-tolerant
+  task engine with per-task timeouts, bounded retries under deterministic
+  seeded backoff, and worker-crash recovery that requeues only
+  incomplete tasks.
 * :mod:`repro.robustness.checkpoint` -- streaming JSONL checkpoints of
   completed sweep rows (exact ``"p/q"`` Fractions) and resume that skips
   finished tasks while preserving the deterministic row order.
@@ -21,14 +22,13 @@ answers under partial failure:
 from .checkpoint import (
     SweepCheckpoint,
     default_audit_path,
-    resume_guarantee_sweep,
     robust_guarantee_sweep,
     row_from_record,
     row_to_record,
     strict_sweep_row_of,
     task_fingerprint,
 )
-from .engine import (
+from ..attack.engine import (
     POOL_INFRASTRUCTURE_ERRORS,
     RetryPolicy,
     TaskAttempt,
@@ -58,7 +58,6 @@ __all__ = [
     "TaskContext",
     "ValidationReport",
     "default_audit_path",
-    "resume_guarantee_sweep",
     "robust_guarantee_sweep",
     "row_from_record",
     "row_to_record",

@@ -24,10 +24,10 @@ garbage and any *well-formed but wrong* record stay hard errors.
 from __future__ import annotations
 
 import os
-from contextlib import ExitStack
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..attack.engine import RetryPolicy, run_tasks
 from ..attack.sweep import (
     Builder,
     SweepRow,
@@ -41,16 +41,13 @@ from ..attack.sweep import (
 from ..errors import CheckpointError
 from ..obs.audit import AuditBundleWriter
 from ..obs.jsonl import append_record, read_records, repair
-from ..probability.bitset import get_default_backend, use_backend
 from ..probability.fractionutil import FractionLike
 from ..reporting import fraction_from_json, json_ready
-from .engine import RetryPolicy, run_tasks
 from .validate import validate_system
 
 __all__ = [
     "SweepCheckpoint",
     "default_audit_path",
-    "resume_guarantee_sweep",
     "robust_guarantee_sweep",
     "row_from_record",
     "row_to_record",
@@ -156,34 +153,6 @@ class SweepCheckpoint:
         return completed
 
 
-class _BackendBoundTask:
-    """A task function bound to run under a fixed measure backend.
-
-    Worker processes start with the module default backend
-    (``"bitmask"``), so the engine's task callable must carry the
-    caller's choice across the process boundary itself.  A class rather
-    than ``functools.partial`` because the engine's ``wants_context``
-    protocol is an attribute probe on the callable -- a partial would
-    hide the wrapped function's opt-in and silently drop the
-    :class:`~repro.robustness.engine.TaskContext` argument.  Instances
-    pickle by value (function by reference, backend as a string).
-    """
-
-    __slots__ = ("function", "backend")
-
-    def __init__(self, function: Callable, backend: str) -> None:
-        self.function = function
-        self.backend = backend
-
-    @property
-    def wants_context(self) -> bool:
-        return bool(getattr(self.function, "wants_context", False))
-
-    def __call__(self, task, *args, **kwargs):
-        with use_backend(self.backend):
-            return self.function(task, *args, **kwargs)
-
-
 def strict_sweep_row_of(task: SweepTask) -> SweepRow:
     """:func:`~repro.attack.sweep.sweep_row_of` with invariant validation.
 
@@ -239,7 +208,6 @@ def robust_guarantee_sweep(
     strict: bool = False,
     task_function: Optional[Callable[[SweepTask], SweepRow]] = None,
     sleep=None,
-    backend: Optional[str] = None,
     progress_every: Optional[int] = None,
     audit: bool = False,
     audit_path=None,
@@ -249,18 +217,18 @@ def robust_guarantee_sweep(
     Row-for-row identical to :func:`repro.attack.sweep.guarantee_sweep`
     (same task enumeration, same order, same exact Fractions), with
     bounded retries, worker-crash recovery and per-task ``timeout`` from
-    :func:`repro.robustness.engine.run_tasks`.  With ``checkpoint_path``
+    :func:`repro.attack.engine.run_tasks`.  With ``checkpoint_path``
     every completed row streams to a JSONL checkpoint and previously
-    completed rows are loaded and skipped; ``strict=True`` validates
+    completed rows are loaded and skipped -- calling again with the same
+    path resumes a killed sweep; ``strict=True`` validates
     every built system against the paper's structural invariants before
     measuring it.  ``task_function`` overrides the per-task callable
     (the chaos tests inject faults through it); ``sleep`` overrides the
-    backoff sleeper.  ``backend`` runs every task -- in workers too,
-    where the process default would otherwise apply -- under the named
-    measure engine (``None``: the caller's process default); rows are
-    backend-independent, so checkpoints resume across backends.
+    backoff sleeper.  Every task -- in workers too -- runs under the
+    caller's measure backend (:func:`~repro.probability.bitset.use_backend`);
+    rows are backend-independent, so checkpoints resume across backends.
     ``progress_every`` emits a ``sweep_progress`` event every that many
-    completed rows (see :func:`repro.robustness.engine.run_tasks`);
+    completed rows (see :func:`repro.attack.engine.run_tasks`);
     pair it with a :class:`~repro.obs.trace.TraceRecorder` and tail the
     file with ``tools/reprotop`` for a live sweep monitor.
 
@@ -290,92 +258,33 @@ def robust_guarantee_sweep(
         audit_path = default_audit_path(checkpoint_path)
     if task_function is None:
         task_function = strict_sweep_row_of if strict else sweep_row_of
-    active = backend if backend is not None else get_default_backend()
-    if backend is not None or active != "bitmask":
-        # The default-on-default case stays unwrapped so the engine sees
-        # the exact callables the chaos tests fingerprint.
-        task_function = _BackendBoundTask(task_function, active)
     checkpoint = SweepCheckpoint(checkpoint_path) if checkpoint_path is not None else None
     keywords = {}
     if sleep is not None:
         keywords["sleep"] = sleep
-    with ExitStack() as stack:
-        if backend is not None:
-            # Activate the engine in the parent too, so the fingerprints
-            # streamed by on_result record the backend that actually
-            # computed the rows (provenance), not the ambient default.
-            stack.enter_context(use_backend(backend))
-        completed = checkpoint.load(tasks) if checkpoint is not None else {}
-        writer = None
-        if audit:
-            writer = AuditBundleWriter(audit_path)
-            # Backfill: a kill can land between the checkpoint append and
-            # the audit append, leaving a row the resumed engine will not
-            # re-run (the checkpoint has it) but the chain never saw.
-            for index in sorted(set(completed) - set(writer.leaf_indexes())):
-                _audit_append(writer, index, tasks[index], completed[index])
-        on_result = None
-        if checkpoint is not None:
-            def on_result(index: int, row: SweepRow) -> None:
-                checkpoint.append(index, tasks[index], row)
-                if writer is not None:
-                    _audit_append(writer, index, tasks[index], row)
-        return run_tasks(
-            task_function,
-            tasks,
-            max_workers=max_workers,
-            policy=policy,
-            timeout=timeout,
-            completed=completed,
-            on_result=on_result,
-            progress_every=progress_every,
-            **keywords,
-        )
-
-
-def resume_guarantee_sweep(
-    checkpoint_path,
-    messenger_counts: Sequence[int],
-    losses: Sequence[FractionLike],
-    builders: Optional[Dict[str, Builder]] = None,
-    epsilon: FractionLike = Fraction(99, 100),
-    max_workers: Optional[int] = None,
-    policy: Optional[RetryPolicy] = None,
-    timeout: Optional[float] = None,
-    strict: bool = False,
-    task_function: Optional[Callable[[SweepTask], SweepRow]] = None,
-    sleep=None,
-    backend: Optional[str] = None,
-    progress_every: Optional[int] = None,
-    audit: bool = False,
-    audit_path=None,
-) -> List[SweepRow]:
-    """Resume a checkpointed sweep, re-running only its incomplete tasks.
-
-    A convenience spelling of :func:`robust_guarantee_sweep` with a
-    mandatory checkpoint: rows already in the JSONL file (fingerprints
-    verified against this sweep's task list, Section 8 coordinates) are
-    returned verbatim in their deterministic positions, never re-run.
-    The checkpoint's recorded backend is provenance only -- resuming
-    under a different ``backend`` is sound because rows are exact
-    Fractions on every engine.  ``audit=True`` resumes (or starts) the
-    sweep's ``repro-audit/1`` Merkle bundle as well, backfilling any
-    leaves a kill tore away; see :func:`robust_guarantee_sweep`.
-    """
-    return robust_guarantee_sweep(
-        messenger_counts,
-        losses,
-        builders=builders,
-        epsilon=epsilon,
+    completed = checkpoint.load(tasks) if checkpoint is not None else {}
+    writer = None
+    if audit:
+        writer = AuditBundleWriter(audit_path)
+        # Backfill: a kill can land between the checkpoint append and
+        # the audit append, leaving a row the resumed engine will not
+        # re-run (the checkpoint has it) but the chain never saw.
+        for index in sorted(set(completed) - set(writer.leaf_indexes())):
+            _audit_append(writer, index, tasks[index], completed[index])
+    on_result = None
+    if checkpoint is not None:
+        def on_result(index: int, row: SweepRow) -> None:
+            checkpoint.append(index, tasks[index], row)
+            if writer is not None:
+                _audit_append(writer, index, tasks[index], row)
+    return run_tasks(
+        task_function,
+        tasks,
         max_workers=max_workers,
         policy=policy,
         timeout=timeout,
-        checkpoint_path=checkpoint_path,
-        strict=strict,
-        task_function=task_function,
-        sleep=sleep,
-        backend=backend,
+        completed=completed,
+        on_result=on_result,
         progress_every=progress_every,
-        audit=audit,
-        audit_path=audit_path,
+        **keywords,
     )

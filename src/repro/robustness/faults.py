@@ -1,14 +1,14 @@
 """Deterministic fault injection for the fault-tolerant sweep engine.
 
 The chaos tests need to *prove* the recovery claims of
-:mod:`repro.robustness.engine`: that a sweep whose workers are killed,
+:mod:`repro.attack.engine`: that a sweep whose workers are killed,
 whose tasks raise, or whose tasks stall still returns rows identical to
 the serial sweep.  Random fault injection cannot prove anything
 reproducibly, so faults here are **scheduled**: a :class:`FaultPlan`
 maps ``(task index, attempt number)`` to a :class:`Fault`, and the
 :class:`FaultInjectingTask` wrapper fires exactly the planned fault when
 the engine hands it that attempt (via the ``wants_context`` protocol of
-:func:`repro.robustness.engine.run_tasks`).
+:func:`repro.attack.engine.run_tasks`).
 
 Three fault kinds cover the failure modes the engine recovers from:
 
@@ -127,7 +127,7 @@ class FaultInjectingTask:
     """Wrap a task function so scheduled faults fire before it runs.
 
     The engine sees ``wants_context`` and calls the wrapper with a
-    :class:`~repro.robustness.engine.TaskContext`, which keys the plan
+    :class:`~repro.attack.engine.TaskContext`, which keys the plan
     lookup.  The wrapped ``inner`` function itself is called plainly
     (``inner(task)``), so any picklable task function can be chaos-tested
     unmodified.

@@ -1,140 +1,18 @@
-"""The parallel sweep runner: determinism, fallback, exactness."""
+"""The parallel sweep: determinism and exactness.
 
-import os
+The executor underneath (fallback, envelopes, retries) is tested in
+``tests/robustness/test_engine.py``.
+"""
+
 from fractions import Fraction
-
-import pytest
 
 from repro.attack import (
     build_ca2,
     guarantee_sweep,
     parallel_guarantee_sweep,
-    parallel_map,
     sweep_row_of,
     sweep_tasks,
 )
-from repro.errors import WorkerTaskError
-
-
-def _square(value: int) -> int:
-    return value * value
-
-
-def _fraction_half(value: int) -> Fraction:
-    return Fraction(value, 2)
-
-
-def _log_then_maybe_boom(item):
-    """Append one line per execution, then fail on the 'boom' item.
-
-    The log file proves how many times each task actually ran: the old
-    runner treated a worker-side TypeError as a pool failure and re-ran
-    EVERY task serially, doubling the count.
-    """
-    log_path, label = item
-    with open(log_path, "a", encoding="utf-8") as handle:
-        handle.write(label + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    if label == "boom":
-        raise TypeError("worker task raised a pool-lookalike error")
-    return label
-
-
-class _Unpicklable(Exception):
-    def __init__(self):
-        super().__init__("unpicklable")
-        self.handle = lambda: None
-
-
-def _raise_unpicklable(item):
-    raise _Unpicklable()
-
-
-class _LoadsPoisoned(Exception):
-    """Pickles fine, but unpickling calls ``__init__`` with too few args."""
-
-    def __init__(self, message, detail):
-        super().__init__(message)  # args == (message,): loads() TypeErrors
-        self.detail = detail
-
-
-def _log_then_maybe_poison(item):
-    log_path, label = item
-    with open(log_path, "a", encoding="utf-8") as handle:
-        handle.write(label + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    if label == "boom":
-        raise _LoadsPoisoned("dumps fine, loads raises", "detail")
-    return label
-
-
-class TestParallelMap:
-    def test_preserves_input_order(self):
-        assert parallel_map(_square, [3, 1, 2]) == [9, 1, 4]
-
-    def test_exact_fractions_cross_the_process_boundary(self):
-        assert parallel_map(_fraction_half, [1, 2, 3]) == [
-            Fraction(1, 2),
-            Fraction(1),
-            Fraction(3, 2),
-        ]
-
-    def test_serial_when_single_worker(self):
-        assert parallel_map(_square, [1, 2, 3], max_workers=1) == [1, 4, 9]
-
-    def test_empty_and_singleton(self):
-        assert parallel_map(_square, []) == []
-        assert parallel_map(_square, [5]) == [25]
-
-    def test_rejects_nonpositive_workers(self):
-        with pytest.raises(ValueError):
-            parallel_map(_square, [1], max_workers=0)
-
-    def test_unpicklable_function_falls_back_to_serial(self):
-        # a closure cannot be pickled; the runner must still return the map
-        assert parallel_map(lambda value: value + 1, [1, 2]) == [2, 3]
-
-    def test_task_error_propagates_without_serial_rerun(self, tmp_path):
-        # Regression: TypeError is in the pool-infrastructure fallback
-        # tuple, so a TypeError raised BY A TASK used to trigger the
-        # all-or-nothing serial fallback and execute every task twice.
-        # The worker-side envelope must carry it back as a value instead.
-        log_path = str(tmp_path / "executions.log")
-        items = [(log_path, "a"), (log_path, "boom"), (log_path, "b")]
-        with pytest.raises(TypeError, match="pool-lookalike"):
-            parallel_map(_log_then_maybe_boom, items)
-        with open(log_path, "r", encoding="utf-8") as handle:
-            executions = handle.read().split()
-        assert sorted(executions) == ["a", "b", "boom"], (
-            "each task must execute exactly once; duplicates mean the "
-            "runner fell back to a serial re-run"
-        )
-
-    def test_unpicklable_task_error_surfaces_as_worker_task_error(self):
-        # The error itself cannot cross the process boundary; its
-        # traceback summary still must.
-        with pytest.raises(WorkerTaskError, match="_Unpicklable"):
-            parallel_map(_raise_unpicklable, [1, 2])
-
-    def test_loads_poisoned_task_error_no_serial_rerun(self, tmp_path):
-        # Regression: an exception that pickles but fails to UNpickle
-        # blows up during result deserialization in the parent, breaking
-        # the whole pool -- which used to be misread as infrastructure
-        # and trigger the all-or-nothing serial re-run.  The worker must
-        # verify the full pickle round-trip and fall back to the text
-        # summary, so each task still executes exactly once.
-        log_path = str(tmp_path / "executions.log")
-        items = [(log_path, "a"), (log_path, "boom"), (log_path, "b")]
-        with pytest.raises(WorkerTaskError, match="_LoadsPoisoned"):
-            parallel_map(_log_then_maybe_poison, items)
-        with open(log_path, "r", encoding="utf-8") as handle:
-            executions = handle.read().split()
-        assert sorted(executions) == ["a", "b", "boom"], (
-            "each task must execute exactly once; duplicates mean the "
-            "runner fell back to a serial re-run"
-        )
 
 
 class TestParallelSweep:

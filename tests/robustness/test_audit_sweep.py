@@ -21,7 +21,6 @@ from repro.robustness import (
     RetryPolicy,
     SweepCheckpoint,
     default_audit_path,
-    resume_guarantee_sweep,
     robust_guarantee_sweep,
 )
 from repro.robustness.faults import FaultInjectingTask, InjectedFault
@@ -133,8 +132,8 @@ class TestChaosAuditedSweep:
                 sleep=_no_sleep,
                 audit=True,
             )
-        rows = resume_guarantee_sweep(
-            path, MESSENGERS, LOSSES, max_workers=1, audit=True
+        rows = robust_guarantee_sweep(
+            MESSENGERS, LOSSES, max_workers=1, checkpoint_path=path, audit=True
         )
         assert rows == _serial_rows()
         assert verifyaudit_main([str(default_audit_path(path))]) == 0
@@ -176,8 +175,8 @@ class TestChaosAuditedSweep:
         path.write_bytes(data[: third + (data.index(b"\n", third) - third) // 2])
         tasks = sweep_tasks(MESSENGERS, LOSSES)
         assert set(SweepCheckpoint(path).load(tasks)) == {0, 1}
-        rows = resume_guarantee_sweep(
-            path, MESSENGERS, LOSSES, max_workers=1, audit=True
+        rows = robust_guarantee_sweep(
+            MESSENGERS, LOSSES, max_workers=1, checkpoint_path=path, audit=True
         )
         assert rows == _serial_rows()
         assert set(SweepCheckpoint(path).load(tasks)) == set(range(len(tasks)))
@@ -203,7 +202,9 @@ class TestChaosAuditedSweep:
         before = read_audit_bundle(audit_path)
         tasks = sweep_tasks(MESSENGERS, LOSSES)
         assert before.leaf_indexes() != frozenset(range(len(tasks)))
-        rows = resume_guarantee_sweep(path, MESSENGERS, LOSSES, audit=True)
+        rows = robust_guarantee_sweep(
+            MESSENGERS, LOSSES, checkpoint_path=path, audit=True
+        )
         assert rows == _serial_rows()
         after = read_audit_bundle(audit_path)
         assert after.leaf_indexes() == frozenset(range(len(tasks)))

@@ -3,8 +3,8 @@
 ``task_fingerprint`` records the engine that computed a row (provenance)
 without making it part of the row's identity: a sweep checkpointed under
 one backend resumes under another, and checkpoints written before the
-``backend`` field existed still load.  ``_BackendBoundTask`` carries the
-engine choice into workers without hiding the wrapped callable's
+``backend`` field existed still load.  The engine carries the caller's
+backend into workers without hiding a task function's
 ``wants_context`` probe.
 """
 
@@ -14,14 +14,17 @@ from fractions import Fraction
 import pytest
 
 from repro.attack.sweep import guarantee_sweep, sweep_row_of, sweep_tasks
-from repro.probability import use_backend, wordmask
+from repro.obs import MetricsRecorder, use_recorder
+from repro.probability import get_default_backend, use_backend, wordmask
 from repro.robustness import (
+    RetryPolicy,
     SweepCheckpoint,
-    resume_guarantee_sweep,
     robust_guarantee_sweep,
+    run_tasks,
     task_fingerprint,
 )
-from repro.robustness.checkpoint import _BackendBoundTask, _identity_fingerprint
+from repro.robustness.checkpoint import _identity_fingerprint
+from repro.testing import Fault, FaultInjectingTask, FaultPlan
 
 MESSENGERS = [1, 2]
 LOSSES = [Fraction(1, 2)]
@@ -67,9 +70,8 @@ class TestCrossBackendResume:
         self, tmp_path, write_backend, resume_backend
     ):
         path = tmp_path / "sweep.jsonl"
-        rows = robust_guarantee_sweep(
-            MESSENGERS, LOSSES, checkpoint_path=path, backend=write_backend
-        )
+        with use_backend(write_backend):
+            rows = robust_guarantee_sweep(MESSENGERS, LOSSES, checkpoint_path=path)
         assert rows == guarantee_sweep(MESSENGERS, LOSSES)
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert {record["task"]["backend"] for record in records} == {write_backend}
@@ -77,14 +79,15 @@ class TestCrossBackendResume:
         def poisoned(task):
             raise AssertionError("resume must not recompute completed rows")
 
-        resumed = resume_guarantee_sweep(
-            path,
-            MESSENGERS,
-            LOSSES,
-            task_function=poisoned,
-            backend=resume_backend,
-        )
+        with use_backend(resume_backend):
+            resumed = robust_guarantee_sweep(
+                MESSENGERS,
+                LOSSES,
+                checkpoint_path=path,
+                task_function=poisoned,
+            )
         assert resumed == rows
+        assert get_default_backend() == "bitmask"
 
     def test_pre_backend_checkpoint_loads(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
@@ -111,29 +114,41 @@ class TestCrossBackendResume:
 
 
 class TestBackendBoundTask:
+    """Tasks run bound to the caller's backend, in workers too."""
+
     def test_rows_match_unwrapped(self):
-        task = sweep_tasks([1], LOSSES)[0]
+        tasks = sweep_tasks([1], LOSSES)
+        plain = [sweep_row_of(task) for task in tasks]
         for backend in BACKENDS:
-            bound = _BackendBoundTask(sweep_row_of, backend)
-            assert bound(task) == sweep_row_of(task)
+            with use_backend(backend):
+                assert run_tasks(sweep_row_of, tasks, max_workers=2) == plain
 
-    def test_wants_context_proxies_the_wrapped_callable(self):
-        def plain(task):
-            return task
-
-        def contextual(task, context=None):
-            return task
-
-        contextual.wants_context = True
-        assert _BackendBoundTask(plain, "bitmask").wants_context is False
-        assert _BackendBoundTask(contextual, "bitmask").wants_context is True
+    def test_context_task_keeps_its_context_under_a_backend(self):
+        # The first attempt of task 0 raises; only a TaskContext-keyed
+        # retry can then produce the row, so serial rows prove the
+        # context reached the task through the backend hand-off.
+        task_function = FaultInjectingTask(
+            sweep_row_of, FaultPlan({(0, 0): Fault("raise")})
+        )
+        metrics = MetricsRecorder()
+        with use_recorder(metrics), use_backend("naive"):
+            rows = robust_guarantee_sweep(
+                MESSENGERS,
+                LOSSES,
+                max_workers=2,
+                policy=RetryPolicy(base_delay=0.0, jitter=0.0),
+                task_function=task_function,
+            )
+        assert rows == guarantee_sweep(MESSENGERS, LOSSES)
+        assert metrics.counters["engine.retries"] == 1
 
     @pytest.mark.skipif(not wordmask.available(), reason="numpy not installed")
     def test_robust_sweep_under_wordarray_matches_serial(self, tmp_path):
-        rows = robust_guarantee_sweep(
-            MESSENGERS,
-            LOSSES,
-            checkpoint_path=tmp_path / "sweep.jsonl",
-            backend="wordarray",
-        )
+        with use_backend("wordarray"):
+            rows = robust_guarantee_sweep(
+                MESSENGERS,
+                LOSSES,
+                checkpoint_path=tmp_path / "sweep.jsonl",
+            )
         assert rows == guarantee_sweep(MESSENGERS, LOSSES)
+        assert get_default_backend() == "bitmask"

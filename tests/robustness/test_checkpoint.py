@@ -16,7 +16,6 @@ from repro.robustness import (
     FaultPlan,
     RetryPolicy,
     SweepCheckpoint,
-    resume_guarantee_sweep,
     robust_guarantee_sweep,
     row_from_record,
     row_to_record,
@@ -129,8 +128,12 @@ class TestResume:
         for index, task in enumerate(tasks):
             if task[0] == "CA1":
                 checkpoint.append(index, task, serial[index])
-        rows = resume_guarantee_sweep(
-            path, MESSENGERS, LOSSES, max_workers=1, task_function=_poisoned_ca1_row
+        rows = robust_guarantee_sweep(
+            MESSENGERS,
+            LOSSES,
+            max_workers=1,
+            checkpoint_path=path,
+            task_function=_poisoned_ca1_row,
         )
         assert rows == serial
 
@@ -146,7 +149,9 @@ class TestResume:
             full = json.dumps(row_to_record(3, tasks[3], serial[3]))
             handle.write(full[: len(full) // 2])
         assert checkpoint.load(tasks) == {0: serial[0], 1: serial[1], 2: serial[2]}
-        rows = resume_guarantee_sweep(path, MESSENGERS, LOSSES, max_workers=1)
+        rows = robust_guarantee_sweep(
+            MESSENGERS, LOSSES, max_workers=1, checkpoint_path=path
+        )
         assert rows == serial
         # the resumed rows landed on a record boundary, not fused with
         # the torn fragment, so the next resume has nothing to re-run
@@ -235,7 +240,9 @@ class TestChaosSweep:
         assert survived == {0: serial[0], 1: serial[1]}
         # Phase 2: resume with a healthy task function; only the
         # incomplete tasks run and the full row list comes back.
-        rows = resume_guarantee_sweep(path, MESSENGERS, LOSSES, max_workers=1)
+        rows = robust_guarantee_sweep(
+            MESSENGERS, LOSSES, max_workers=1, checkpoint_path=path
+        )
         assert rows == serial
         assert SweepCheckpoint(path).load(tasks).keys() == set(range(len(tasks)))
         _export_artifact(path)

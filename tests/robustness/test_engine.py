@@ -2,18 +2,26 @@
 
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 import pytest
 
+from repro.attack import engine
+from repro.attack.engine import _EngineState, _run_pool, _run_serial
 from repro.errors import RetryExhaustedError, TaskTimeoutError
+from repro.obs import MetricsRecorder, use_recorder
 from repro.robustness import RetryPolicy, TaskContext, run_tasks
-from repro.robustness.engine import _EngineState, _run_pool, _run_serial
 from repro.testing import Fault, FaultInjectingTask, FaultPlan
 
 
 def _square(value: int) -> int:
     return value * value
+
+
+def _fraction_half(value: int) -> Fraction:
+    return Fraction(value, 2)
 
 
 def _boom(value: int) -> int:
@@ -43,8 +51,8 @@ class _LoadsPoisoned(Exception):
         self.detail = detail
 
 
-def _log_then_maybe_poison(item):
-    """Append one line per execution, then raise on the 'boom' label.
+def _log_execution(item) -> str:
+    """Append one line per execution and return the task's label.
 
     The log file counts how many times each task actually ran, pinning
     down any fallback path that re-executes tasks.
@@ -54,9 +62,24 @@ def _log_then_maybe_poison(item):
         handle.write(label + "\n")
         handle.flush()
         os.fsync(handle.fileno())
-    if label == "boom":
-        raise _LoadsPoisoned("dumps fine, loads raises", "detail")
     return label
+
+
+def _log_then_maybe_poison(item):
+    if _log_execution(item) == "boom":
+        raise _LoadsPoisoned("dumps fine, loads raises", "detail")
+    return item[1]
+
+
+def _log_then_maybe_boom(item):
+    if _log_execution(item) == "boom":
+        raise TypeError("worker task raised a pool-lookalike error")
+    return item[1]
+
+
+def _read_executions(log_path: str):
+    with open(log_path, "r", encoding="utf-8") as handle:
+        return handle.read().split()
 
 
 def _no_sleep(seconds: float) -> None:
@@ -104,18 +127,27 @@ class TestRunTasksBasics:
 
     def test_empty_task_list(self):
         assert run_tasks(_square, []) == []
+        assert run_tasks(_square, [5]) == [25]
 
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError):
             run_tasks(_square, [1], max_workers=0)
 
     def test_exact_fractions_cross_the_pool(self):
-        def half(value):
-            return Fraction(value, 2)
+        assert run_tasks(_fraction_half, [1, 2, 3], max_workers=2) == [
+            Fraction(1, 2),
+            Fraction(1),
+            Fraction(3, 2),
+        ]
 
-        # closures force the serial path; the module-level pool path is
-        # exercised by the sweep tests
-        assert run_tasks(half, [1, 3], max_workers=1) == [Fraction(1, 2), Fraction(3, 2)]
+    def test_closure_payload_falls_back_in_process(self):
+        # a closure cannot be pickled; the engine must still return the map
+        offset = 1
+        metrics = MetricsRecorder()
+        with use_recorder(metrics):
+            results = run_tasks(lambda value: value + offset, [1, 2], max_workers=2)
+        assert results == [2, 3]
+        assert metrics.counters["engine.pool_fallbacks"] == 1
 
     def test_completed_tasks_are_never_rerun(self):
         calls = []
@@ -209,6 +241,33 @@ class TestWorkerCrashRecovery:
         results = run_tasks(task, [2, 3, 4, 5], policy=policy, sleep=_no_sleep)
         assert results == [4, 9, 16, 25]
 
+    def test_pool_breaking_mid_submit_requeues_unsubmitted_tasks(self, monkeypatch):
+        # Regression: the task whose submit found the pool broken was
+        # recorded as submitted without a future, and the round then
+        # failed with a KeyError instead of requeueing it.
+        pools = []
+
+        class _BreaksOnSecondSubmit(ThreadPoolExecutor):
+            def __init__(self, max_workers=None):
+                super().__init__(max_workers=max_workers)
+                pools.append(self)
+                self.submits = 0
+
+            def submit(self, fn, *args, **kwargs):
+                self.submits += 1
+                if self is pools[0] and self.submits == 2:
+                    raise BrokenProcessPool("pool broke between rounds")
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", _BreaksOnSecondSubmit)
+        metrics = MetricsRecorder()
+        with use_recorder(metrics):
+            results = run_tasks(_square, [1, 2, 3], max_workers=2)
+        assert results == [1, 4, 9]
+        assert len(pools) == 2
+        # the unsubmitted tasks consumed no attempt
+        assert metrics.counters["engine.attempts"] == 3
+
     def test_kill_on_final_attempt_is_terminal(self):
         plan = FaultPlan({(0, 0): Fault("kill"), (0, 1): Fault("kill")})
         task = FaultInjectingTask(inner=_square, plan=plan)
@@ -282,7 +341,28 @@ class TestWorkerCrashRecovery:
         error = excinfo.value
         assert error.task_index == 0
         assert any("_LoadsPoisoned" in attempt.error for attempt in error.attempts)
-        with open(log_path, "r", encoding="utf-8") as handle:
-            executions = handle.read().split()
+        executions = _read_executions(log_path)
         assert executions.count("boom") == policy.max_attempts
         assert executions.count("a") == 1
+
+    def test_pool_lookalike_task_error_runs_exactly_max_attempts(self, tmp_path):
+        # Regression: TypeError is also a pool-infrastructure error, so a
+        # TypeError raised BY A TASK must come back inside the envelope --
+        # never be misread as a broken pool and re-run serially on top of
+        # its attempt budget.
+        log_path = str(tmp_path / "executions.log")
+        policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
+        items = [(log_path, "a"), (log_path, "boom"), (log_path, "b")]
+        with pytest.raises(RetryExhaustedError, match="pool-lookalike") as excinfo:
+            run_tasks(
+                _log_then_maybe_boom,
+                items,
+                max_workers=2,
+                policy=policy,
+                sleep=_no_sleep,
+            )
+        assert excinfo.value.task_index == 1
+        assert isinstance(excinfo.value.__cause__, TypeError)
+        executions = _read_executions(log_path)
+        assert executions.count("boom") == policy.max_attempts
+        assert sorted(label for label in executions if label != "boom") == ["a", "b"]

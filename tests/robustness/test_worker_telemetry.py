@@ -1,8 +1,7 @@
 """Cross-process telemetry: shipped deltas sum exactly, results unchanged.
 
 The worker-shipping layer (``ObsDeltaCapture`` in the engine's
-``_execute_task`` and ``parallel_map``'s envelopes) claims two exact
-invariants:
+``_execute_task``) claims two exact invariants:
 
 1. **Byte-identical results** -- turning telemetry on changes counters,
    never rows.
@@ -25,7 +24,6 @@ from fractions import Fraction
 
 import pytest
 
-from repro.attack.parallel import parallel_map
 from repro.attack.sweep import sweep_row_of, sweep_tasks
 from repro.obs import MetricsRecorder, MultiRecorder, Recorder, use_recorder
 from repro.probability import kernel_totals, reset_kernel_totals
@@ -164,20 +162,6 @@ class TestExactAccounting:
         # Parent counters still equal the shipped sums exactly.
         shipped_counters = _sum_shipped(events, "counters")
         for name, total in shipped_counters.items():
-            assert metrics.counters[name] == total, name
-
-    def test_parallel_map_merges_envelopes(self):
-        metrics = MetricsRecorder()
-        log = _EventLog()
-        with use_recorder(MultiRecorder([metrics, log])):
-            results = parallel_map(sweep_row_of, sweep_tasks(MESSENGERS, LOSSES))
-        if metrics.counters.get("parallel.pool_fallbacks"):
-            pytest.skip("process pools unavailable; serial path ships nothing")
-        assert results == [sweep_row_of(task) for task in sweep_tasks(MESSENGERS, LOSSES)]
-        events = _worker_delta_events(log)
-        assert len(events) == len(results)
-        shipped = _sum_shipped(events, "counters")
-        for name, total in shipped.items():
             assert metrics.counters[name] == total, name
 
 

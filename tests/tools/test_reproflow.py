@@ -168,10 +168,10 @@ def test_mutation_lambda_payload_is_rl011(tmp_path):
     tree = copy_tree(tmp_path)
     parallel = tree / "attack" / "parallel.py"
     source = parallel.read_text()
-    assert "parallel_map(row_of," in source
+    assert "run_tasks(sweep_row_of," in source
     source = source.replace(
-        "parallel_map(row_of,",
-        "parallel_map(lambda task: row_of(task),",
+        "run_tasks(sweep_row_of,",
+        "run_tasks(lambda task: sweep_row_of(task),",
         1,
     )
     parallel.write_text(source)
@@ -187,7 +187,7 @@ def test_mutation_lambda_payload_is_rl011(tmp_path):
     assert violation.path == str(parallel)
     assert violation.line == lambda_line
     assert "lambda" in violation.message
-    assert "repro.attack.parallel.parallel_map" in violation.message
+    assert "repro.attack.engine.run_tasks" in violation.message
 
 
 def test_mutation_nested_function_payload_is_rl011(tmp_path):
@@ -196,10 +196,10 @@ def test_mutation_nested_function_payload_is_rl011(tmp_path):
     source = parallel.read_text()
     # Define a function *inside* the caller and ship it as the payload.
     source = source.replace(
-        "    return parallel_map(row_of, tasks, max_workers=max_workers)",
+        "    return run_tasks(sweep_row_of, tasks, max_workers=max_workers)",
         "    def _nested(task):\n"
-        "        return row_of(task)\n"
-        "    return parallel_map(_nested, tasks, max_workers=max_workers)",
+        "        return sweep_row_of(task)\n"
+        "    return run_tasks(_nested, tasks, max_workers=max_workers)",
         1,
     )
     assert "_nested" in source
@@ -212,7 +212,7 @@ def test_mutation_nested_function_payload_is_rl011(tmp_path):
 
 def test_mutation_contract_drift_is_rl012(tmp_path):
     tree = copy_tree(tmp_path)
-    engine = tree / "robustness" / "engine.py"
+    engine = tree / "attack" / "engine.py"
     source = engine.read_text()
     # _unit_jitter declares Deterministic.; make it read the clock
     # (``import time`` is already at module level for time.sleep).
@@ -230,7 +230,7 @@ def test_mutation_contract_drift_is_rl012(tmp_path):
     drift = [
         v
         for v in found
-        if v.message.startswith("'repro.robustness.engine._unit_jitter' declares")
+        if v.message.startswith("'repro.attack.engine._unit_jitter' declares")
     ]
     assert len(drift) == 1
     violation = drift[0]
@@ -298,15 +298,17 @@ def test_wordmask_float_boundary_sanction_is_load_bearing(tmp_path, monkeypatch)
     assert "repro.probability.wordmask._mut_scale" in violation.message
 
 
-def test_use_backend_restoring_scope_sanction_is_load_bearing(monkeypatch):
-    """Without RESTORING_SCOPE_FUNCTIONS the real tree stops being clean.
+def test_use_backend_restoring_scope_sanction_is_load_bearing(tmp_path, monkeypatch):
+    """Without RESTORING_SCOPE_FUNCTIONS a payload's backend scope is flagged.
 
     ``use_backend`` mutates the module-default backend but restores it in
     a ``finally``; the sanction stops that confined effect from
-    propagating to ``sweep_row_of``.  Unsanctioned, the real chain
-    surfaces as both RL009 (stateful task payload) and RL012 (contract
-    drift on a ``Deterministic.`` declaration) -- proof the skip is what
-    keeps the committed tree violation-free, not an accident of shape.
+    propagating to a task payload that opens such a scope.  Mutation:
+    ``sweep_row_of`` builds its system inside ``use_backend``.
+    Sanctioned, the tree stays clean; unsanctioned, the chain surfaces
+    as both RL009 (stateful task payload) and RL012 (contract drift on
+    a ``Deterministic.`` declaration) -- proof the skip is what keeps
+    such a payload violation-free, not an accident of shape.
     """
     import tools.reproflow.program as flow_program
 
@@ -314,8 +316,28 @@ def test_use_backend_restoring_scope_sanction_is_load_bearing(monkeypatch):
         "repro.probability.bitset.use_backend"
         in flow_program.RESTORING_SCOPE_FUNCTIONS
     )
+    tree = copy_tree(tmp_path)
+    sweep = tree / "attack" / "sweep.py"
+    source = sweep.read_text()
+    for old, new in (
+        (
+            "import get_default_backend, kernel_totals\n",
+            "import get_default_backend, kernel_totals, use_backend\n",
+        ),
+        (
+            "        attack = builder(messengers, loss)\n"
+            "        row = sweep_row_from_attack(task, attack)\n",
+            "        with use_backend(get_default_backend()):\n"
+            "            attack = builder(messengers, loss)\n"
+            "        row = sweep_row_from_attack(task, attack)\n",
+        ),
+    ):
+        assert old in source
+        source = source.replace(old, new, 1)
+    sweep.write_text(source)
+    assert run_flow([tree]).violations == []
     monkeypatch.setattr(flow_program, "RESTORING_SCOPE_FUNCTIONS", frozenset())
-    report = run_flow([SRC_REPRO])
+    report = run_flow([tree])
     rl009 = violations_of(report, "RL009")
     assert any(
         "mutates module-global state" in v.message
@@ -339,8 +361,8 @@ def test_flow_suppression_waives_and_is_not_stale(tmp_path):
     tree = copy_tree(tmp_path)
     parallel = tree / "attack" / "parallel.py"
     source = parallel.read_text().replace(
-        "    return parallel_map(row_of, tasks, max_workers=max_workers)",
-        "    return parallel_map(lambda task: row_of(task), tasks,"
+        "    return run_tasks(sweep_row_of, tasks, max_workers=max_workers)",
+        "    return run_tasks(lambda task: sweep_row_of(task), tasks,"
         " max_workers=max_workers)  # reproflow: disable=RL011",
         1,
     )
@@ -428,8 +450,8 @@ def test_cache_round_trip_same_findings(tmp_path):
     parallel = tree / "attack" / "parallel.py"
     parallel.write_text(
         parallel.read_text().replace(
-            "parallel_map(row_of,",
-            "parallel_map(lambda task: row_of(task),",
+            "run_tasks(sweep_row_of,",
+            "run_tasks(lambda task: sweep_row_of(task),",
             1,
         )
     )
@@ -451,7 +473,7 @@ def test_cache_round_trip_same_findings(tmp_path):
     lambda_line = next(
         line
         for line in parallel.read_text().splitlines()
-        if "parallel_map(lambda task:" in line
+        if "run_tasks(lambda task:" in line
     )
     parallel.write_text(
         parallel.read_text().replace(
@@ -512,8 +534,8 @@ def test_report_mentions_mutation_violation(tmp_path):
     parallel = tree / "attack" / "parallel.py"
     parallel.write_text(
         parallel.read_text().replace(
-            "parallel_map(row_of,",
-            "parallel_map(lambda task: row_of(task),",
+            "run_tasks(sweep_row_of,",
+            "run_tasks(lambda task: sweep_row_of(task),",
             1,
         )
     )
@@ -545,8 +567,8 @@ def test_cli_json_and_exit_one_on_finding(tmp_path):
     parallel = tree / "attack" / "parallel.py"
     parallel.write_text(
         parallel.read_text().replace(
-            "parallel_map(row_of,",
-            "parallel_map(lambda task: row_of(task),",
+            "run_tasks(sweep_row_of,",
+            "run_tasks(lambda task: sweep_row_of(task),",
             1,
         )
     )

@@ -20,8 +20,7 @@ from ..program import FunctionInfo, Program
 #: subject to the determinism and picklability rules.
 POOL_ENTRY_POINTS = frozenset(
     {
-        "repro.robustness.engine.run_tasks",
-        "repro.attack.parallel.parallel_map",
+        "repro.attack.engine.run_tasks",
         "repro.attack.sweep.sweep_tasks",
     }
 )
