@@ -24,7 +24,8 @@ from fractions import Fraction
 
 import pytest
 
-from repro.attack.sweep import sweep_row_of, sweep_tasks
+from repro.attack.parallel import parallel_guarantee_sweep
+from repro.attack.sweep import guarantee_sweep, sweep_row_of, sweep_tasks
 from repro.obs import MetricsRecorder, MultiRecorder, Recorder, use_recorder
 from repro.probability import kernel_totals, reset_kernel_totals
 from repro.robustness import RetryPolicy, run_tasks
@@ -162,6 +163,21 @@ class TestExactAccounting:
         # Parent counters still equal the shipped sums exactly.
         shipped_counters = _sum_shipped(events, "counters")
         for name, total in shipped_counters.items():
+            assert metrics.counters[name] == total, name
+
+    def test_parallel_map_merges_envelopes(self):
+        # The parallel sweep's pool map: one shipped envelope per task
+        # (no faults, so no retries), merged exactly into the parent.
+        metrics = MetricsRecorder()
+        log = _EventLog()
+        with use_recorder(MultiRecorder([metrics, log])):
+            rows = parallel_guarantee_sweep(MESSENGERS, LOSSES, max_workers=2)
+        _skip_if_no_pool(metrics)
+        assert rows == guarantee_sweep(MESSENGERS, LOSSES)
+        events = _worker_delta_events(log)
+        assert len(events) == len(rows)
+        shipped = _sum_shipped(events, "counters")
+        for name, total in shipped.items():
             assert metrics.counters[name] == total, name
 
 
