@@ -15,11 +15,10 @@ counters, gauges, events and timing spans to the process-global
   ``repro-explain/1`` derivation trees built by ``Model.explain`` and the
   gfp iteration snapshots of the common-knowledge fixpoints -- for
   ``tools/tracediff`` and the auditability layer.
-* :mod:`repro.obs.derivstore` hash-conses derivation subtrees by their
-  Merkle fingerprints into the ``repro-explain/2`` DAG encoding (with a
-  lossless bridge to ``repro-explain/1``), and :mod:`repro.obs.audit`
-  chains sweep rows and their derivation roots into ``repro-audit/1``
-  Merkle-chained audit bundles for ``tools/verifyaudit``.
+* :mod:`repro.obs.audit` chains sweep rows and their derivation roots
+  into ``repro-audit/1`` Merkle-chained audit bundles for
+  ``tools/verifyaudit``; each bundle stores every distinct derivation
+  subtree once, in a node table keyed by Merkle fingerprint.
 * :mod:`repro.obs.snapshot` freezes aggregates into ``repro-metrics/1``
   snapshots and ships per-attempt deltas across process boundaries --
   the cross-process telemetry the sweep engine's workers use, so the
@@ -41,16 +40,6 @@ from .audit import (
     bundle_root,
     read_audit_bundle,
     verify_bundle,
-)
-from .derivstore import (
-    EXPLAIN_SCHEMA_2,
-    DerivationStore,
-    decode_derivation,
-    downgrade,
-    encode_derivation,
-    encoded_size,
-    node_fingerprint,
-    upgrade,
 )
 from .metrics import MetricsRecorder, SpanStats
 from .provenance import (
@@ -91,9 +80,7 @@ __all__ = [
     "AuditBundleWriter",
     "Derivation",
     "DerivationNode",
-    "DerivationStore",
     "EXPLAIN_SCHEMA",
-    "EXPLAIN_SCHEMA_2",
     "METRICS_SCHEMA",
     "MetricsRecorder",
     "MetricsSnapshotWriter",
@@ -108,13 +95,8 @@ __all__ = [
     "TraceRecorder",
     "bundle_root",
     "clock",
-    "decode_derivation",
     "derivation_from_json",
-    "downgrade",
-    "encode_derivation",
-    "encoded_size",
     "get_recorder",
-    "node_fingerprint",
     "merge_worker_delta",
     "read_audit_bundle",
     "read_derivation",
@@ -125,7 +107,6 @@ __all__ = [
     "set_recorder",
     "snapshot_delta",
     "take_snapshot",
-    "upgrade",
     "use_recorder",
     "verify_bundle",
     "write_snapshot",

@@ -16,9 +16,11 @@ An **audit bundle** closes that gap.  It is an append-only JSONL file
 * a ``header`` record naming the schemas; its canonical hash is the
   chain's genesis value;
 * ``node`` records streaming each distinct derivation subtree once,
-  children before parents, keyed by the Merkle fingerprints of
-  :func:`repro.obs.derivstore.node_fingerprint` (the hash-consed
-  ``repro-explain/2`` table, incrementally);
+  children before parents, keyed by its Merkle fingerprint: the SHA-256
+  of the node's canonical payload with children replaced by *their*
+  fingerprints, so one ref commits to the whole subtree (the bundle's
+  hash-consed node table, written incrementally;
+  :func:`node_from_table` rebuilds a derivation from it);
 * ``leaf`` records, one per completed row: a **leaf hash** over the
   canonical JSON of (task fingerprint, exact row payload, derivation
   root fingerprint, task index), and a **chain hash** linking it to the
@@ -49,12 +51,11 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from ..errors import AuditError, ProvenanceError
-from .derivstore import EXPLAIN_SCHEMA_2, DerivationStore
 from .jsonl import append_record, header_problem, read_records, repair
-from .provenance import Derivation, json_pure
+from .provenance import Derivation, DerivationNode, json_pure
 
 __all__ = [
     "AUDIT_SCHEMA",
@@ -65,6 +66,7 @@ __all__ = [
     "genesis_hash",
     "header_record",
     "leaf_hash",
+    "node_from_table",
     "read_audit_bundle",
     "verify_bundle",
 ]
@@ -88,13 +90,98 @@ def header_record() -> Dict[str, object]:
 
     Content-pure by construction -- no clock, no host, no pid -- so the
     genesis hash (and therefore every chain value) is a function of the
-    sweep's content alone.
+    sweep's content alone.  ``explain_schema`` names the node-table
+    encoding; the literal is part of the genesis, so it never changes.
     """
     return {
         "type": "header",
         "schema": AUDIT_SCHEMA,
-        "explain_schema": EXPLAIN_SCHEMA_2,
+        "explain_schema": "repro-explain/2",
     }
+
+
+def _node_payload(node: DerivationNode, child_refs: List[str]) -> Dict:
+    """One node-table entry: the node's fields, children as refs."""
+    return {
+        "rule": node.rule,
+        "formula": node.formula,
+        "point": node.point,
+        "holds": node.holds,
+        "definition": node.definition,
+        "detail": node.detail,
+        "children": child_refs,
+    }
+
+
+def _intern(node: DerivationNode, streamed: Set[str], fresh: Dict[str, Dict]) -> str:
+    """Hash-cons one subtree; return its ref, collecting unseen entries.
+
+    Every node is hashed (a parent's ref needs its children's), and each
+    ref in neither ``streamed`` nor ``fresh`` is added to ``fresh`` --
+    children before parents, so ``fresh`` is already in stream order.
+    """
+    child_refs = [_intern(child, streamed, fresh) for child in node.children]
+    payload = _node_payload(node, child_refs)
+    ref = _sha256(_canonical(payload))
+    if ref not in streamed and ref not in fresh:
+        fresh[ref] = payload
+    return ref
+
+
+def node_from_table(nodes: Mapping[str, Dict], ref: str) -> DerivationNode:
+    """Rebuild the :class:`DerivationNode` tree rooted at ``ref``.
+
+    ``nodes`` is a bundle's node table (:attr:`AuditBundle.nodes`).
+    Raises :class:`~repro.errors.ProvenanceError` on a dangling
+    reference, a structurally malformed entry, or a reference cycle --
+    a table is only a derivation when every ref resolves to a finite
+    subtree.
+    """
+    return _rebuild(nodes, ref, "root", set())
+
+
+def _rebuild(
+    nodes: Mapping[str, Dict], ref: str, path: str, ancestors: Set[str]
+) -> DerivationNode:
+    if ref in ancestors:
+        raise ProvenanceError(
+            f"derivation node {ref!r} at {path} is its own ancestor "
+            "(reference cycle)"
+        )
+    payload = nodes.get(ref)
+    if payload is None:
+        raise ProvenanceError(
+            f"derivation DAG reference {ref!r} at {path} resolves to no node"
+        )
+    if not isinstance(payload, Mapping):
+        raise ProvenanceError(f"derivation DAG node {ref!r} is not a JSON object")
+    missing = {"rule", "formula", "holds", "definition", "children"} - set(payload)
+    if missing:
+        raise ProvenanceError(
+            f"derivation DAG node {ref!r} is missing fields {sorted(missing)}"
+        )
+    child_refs = payload["children"]
+    if not isinstance(child_refs, (list, tuple)) or not all(
+        isinstance(child, str) for child in child_refs
+    ):
+        raise ProvenanceError(
+            f"derivation DAG node {ref!r} has non-reference children"
+        )
+    ancestors.add(ref)
+    children = tuple(
+        _rebuild(nodes, child, f"{path}.children[{index}]", ancestors)
+        for index, child in enumerate(child_refs)
+    )
+    ancestors.discard(ref)
+    return DerivationNode(
+        rule=payload["rule"],
+        formula=payload["formula"],
+        point=payload.get("point"),
+        holds=bool(payload["holds"]),
+        definition=payload["definition"],
+        detail=payload.get("detail", {}),
+        children=children,
+    )
 
 
 def genesis_hash(header: Dict[str, object]) -> str:
@@ -200,6 +287,12 @@ def _parse_record(record: Dict, position: int) -> Tuple[str, Dict]:
             raise AuditError(
                 f"audit bundle record {position} is a leaf record missing "
                 f"{sorted(missing)}"
+            )
+        index = record["index"]
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise AuditError(
+                f"audit bundle record {position} has leaf index {index!r}, "
+                "not an integer"
             )
         return kind, record
     raise AuditError(
@@ -334,7 +427,7 @@ class AuditBundleWriter:
     file is repaired (:func:`repro.obs.jsonl.repair` -- torn tail cut,
     last record terminated), the last intact leaf's chain value becomes
     the running tip, and node records already streamed are never
-    re-emitted (the hash-consing store deduplicates across the kill).
+    re-emitted (hash-consing deduplicates across the kill).
     A file with no intact record starts a fresh chain.  Chain order is
     completion order, not index order -- exactly like checkpoint rows --
     and resumed bundles may carry duplicate leaves for an index whose
@@ -344,7 +437,6 @@ class AuditBundleWriter:
 
     def __init__(self, path) -> None:
         self.path = os.fspath(path)
-        self._store = DerivationStore()
         self._streamed: Set[str] = set()
         self._indexes: Set[int] = set()
         header = header_record()
@@ -394,10 +486,9 @@ class AuditBundleWriter:
         """
         root_ref: Optional[str] = None
         if derivation is not None:
-            root_ref, new_entries = self._store.add_new(derivation.root)
-            for ref, payload in new_entries:
-                if ref in self._streamed:
-                    continue
+            fresh: Dict[str, Dict] = {}
+            root_ref = _intern(derivation.root, self._streamed, fresh)
+            for ref, payload in fresh.items():
                 append_record(self.path, {"type": "node", "ref": ref, "node": payload})
                 self._streamed.add(ref)
         leaf = leaf_hash(index, task, row, root_ref)

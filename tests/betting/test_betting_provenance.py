@@ -15,13 +15,26 @@ from repro.reporting import fraction_from_json
 from repro.core import PostAssignment, opponent_assignment
 from repro.examples_lib import three_agent_coin_system
 from repro.obs import (
-    decode_derivation,
-    downgrade,
-    encode_derivation,
-    upgrade,
+    AuditBundleWriter,
+    Derivation,
+    derivation_from_json,
+    read_audit_bundle,
 )
+from repro.obs.audit import node_from_table
 
 HALF = Fraction(1, 2)
+
+
+def _through_bundle(derivation, path):
+    """Chain ``derivation`` into an audit bundle and rebuild it."""
+    AuditBundleWriter(path).append(0, {"task": 0}, {"row": 0}, derivation)
+    bundle = read_audit_bundle(path)
+    return Derivation(
+        assignment=derivation.assignment,
+        formula=derivation.formula,
+        point=derivation.point,
+        root=node_from_table(bundle.nodes, bundle.leaves[0]["root_ref"]),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -94,15 +107,16 @@ class TestSafetyDerivation:
         )
         assert safe.fingerprint() != unsafe.fingerprint()
 
-    def test_round_trips_through_both_schemas(self, coin, against_p3, c1):
+    def test_round_trips_through_both_schemas(self, coin, against_p3, c1, tmp_path):
+        # repro-explain/1 documents and audit-bundle node tables
         derivation = safety_derivation(
             against_p3, _unsafe_certificate(coin, against_p3, c1)
         )
         doc_1 = derivation.json_ready()
-        doc_2 = encode_derivation(derivation)
-        assert decode_derivation(doc_1).fingerprint() == derivation.fingerprint()
-        assert decode_derivation(doc_2).fingerprint() == derivation.fingerprint()
-        assert downgrade(upgrade(doc_1)) == doc_1
+        assert derivation_from_json(doc_1).fingerprint() == derivation.fingerprint()
+        rebuilt = _through_bundle(derivation, tmp_path / "s.audit")
+        assert rebuilt.fingerprint() == derivation.fingerprint()
+        assert rebuilt.json_ready() == doc_1
 
 
 class TestTheorem8WitnessDerivation:
@@ -132,9 +146,10 @@ class TestTheorem8WitnessDerivation:
             detail["alpha_opponent"]
         )
 
-    def test_round_trips_through_schema_2(self, witness):
+    def test_round_trips_through_schema_2(self, witness, tmp_path):
+        # the bundle header's node-table encoding is repro-explain/2
         derivation = theorem8_witness_derivation(witness, agent=0, opponent=2)
-        decoded = decode_derivation(encode_derivation(derivation))
+        decoded = _through_bundle(derivation, tmp_path / "s.audit")
         assert decoded.fingerprint() == derivation.fingerprint()
 
 

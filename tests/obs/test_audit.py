@@ -1,5 +1,6 @@
 """``repro-audit/1`` bundles: chain arithmetic, torn tails, tamper."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -63,6 +64,43 @@ def _write_bundle(path, count=3, with_derivations=True):
         derivation = _derivation(index % 2) if with_derivations else None
         writer.append(index, _task(index), _row(index), derivation)
     return path
+
+
+def _set_first_leaf_index(path, index):
+    lines = path.read_text().splitlines()
+    for position, line in enumerate(lines):
+        record = json.loads(line)
+        if record.get("type") == "leaf":
+            record["index"] = index
+            lines[position] = json.dumps(record, sort_keys=True)
+            break
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestGoldenBundle:
+    def test_audited_sweep_bundle_bytes_are_pinned(self, tmp_path):
+        # Bundle bytes, and so every root ever published, must not drift
+        # across refactors of the writer.
+        from repro.robustness import default_audit_path, robust_guarantee_sweep
+
+        checkpoint = tmp_path / "sweep.jsonl"
+        robust_guarantee_sweep(
+            [1, 2],
+            [Fraction(1, 2)],
+            max_workers=1,
+            checkpoint_path=checkpoint,
+            audit=True,
+        )
+        path = default_audit_path(checkpoint)
+        data = open(path, "rb").read()
+        assert bundle_root(path) == (
+            "399448bcef765d7384c22dc5c4edcce62cfecacf9c16ccb9a05fb1633e5a2926"
+        )
+        assert len(data) == 7171
+        assert data.count(b"\n") == 12
+        assert hashlib.sha256(data).hexdigest() == (
+            "ecfdee4753c9a12ddfc29d93a40f5451036f58311146ad2d4bf8059f4b9cf839"
+        )
 
 
 class TestChainArithmetic:
@@ -263,6 +301,19 @@ class TestWriterResume:
         writer.append(1, _task(1), {"post_threshold": "1/3"}, None)
         defects = verify_bundle(read_audit_bundle(path))
         assert any("index 1" in defect for defect in defects)
+
+    @pytest.mark.parametrize("index", ["zero", True, 1.0, None])
+    def test_non_integer_leaf_index_is_an_audit_error(self, tmp_path, index):
+        path = _write_bundle(tmp_path / "s.audit")
+        _set_first_leaf_index(path, index)
+        with pytest.raises(AuditError, match="leaf index"):
+            read_audit_bundle(path)
+
+    def test_resume_rejects_a_non_integer_leaf_index(self, tmp_path):
+        path = _write_bundle(tmp_path / "s.audit")
+        _set_first_leaf_index(path, "zero")
+        with pytest.raises(AuditError, match="leaf index"):
+            AuditBundleWriter(path)
 
     def test_schema_mismatch_on_read_is_an_error(self, tmp_path):
         path = tmp_path / "s.audit"

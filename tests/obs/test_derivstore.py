@@ -1,31 +1,79 @@
-"""Hash-consed ``repro-explain/2``: lossless bridge, Merkle invariants."""
+"""The audit bundle's hash-consed node table: lossless, Merkle-keyed.
 
+An audited sweep streams each distinct derivation subtree once into its
+``repro-audit/1`` bundle; :func:`repro.obs.audit.node_from_table`
+rebuilds derivations from that table.  The standalone
+``repro-explain/2`` document format is retired: tracediff rejects it.
+"""
+
+import hashlib
 import json
+import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ProvenanceError
-from repro.obs import (
+REPO_ROOT = Path(__file__).resolve().parents[2]
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from repro.errors import AuditError, ProvenanceError, TraceError  # noqa: E402
+from repro.obs import (  # noqa: E402
     EXPLAIN_SCHEMA,
-    EXPLAIN_SCHEMA_2,
+    AuditBundleWriter,
     Derivation,
     DerivationNode,
-    DerivationStore,
-    decode_derivation,
-    downgrade,
-    encode_derivation,
-    encoded_size,
-    node_fingerprint,
-    upgrade,
+    read_audit_bundle,
 )
-from repro.obs.derivstore import decode_derivations, node_from_table
+from repro.obs.audit import header_record, node_from_table  # noqa: E402
+
+from tools.tracediff import load_artifact  # noqa: E402
+from tools.tracediff.cli import main as tracediff_main  # noqa: E402
 
 
 def _canonical(payload):
     return json.dumps(payload, sort_keys=True)
+
+
+def _task(index):
+    return {"protocol": "CA1", "messengers": index + 1, "loss": "1/2"}
+
+
+def _row(index):
+    return {"protocol": "CA1", "messengers": index + 1, "post_threshold": "1/2"}
+
+
+def _bundle_of(directory, *derivations):
+    """Chain one row per derivation into ``directory/s.audit``."""
+    path = Path(directory) / "s.audit"
+    writer = AuditBundleWriter(path)
+    for index, derivation in enumerate(derivations):
+        writer.append(index, _task(index), _row(index), derivation)
+    return read_audit_bundle(path)
+
+
+def _node_records(path):
+    lines = Path(path).read_text().splitlines()
+    return [record for record in map(json.loads, lines) if record["type"] == "node"]
+
+
+def _rebuilt(bundle, derivation, position=0):
+    root = node_from_table(bundle.nodes, bundle.leaves[position]["root_ref"])
+    return Derivation(
+        assignment=derivation.assignment,
+        formula=derivation.formula,
+        point=derivation.point,
+        root=root,
+    )
+
+
+def _round_trip(derivation):
+    with tempfile.TemporaryDirectory() as directory:
+        return _bundle_of(directory, derivation)
 
 
 # ----------------------------------------------------------------------
@@ -120,112 +168,162 @@ class TestRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(_derivations)
     def test_upgrade_downgrade_is_byte_identity(self, derivation):
-        # the pinned acceptance property: /1 -> /2 -> /1 reproduces the
-        # canonical bytes exactly, for arbitrary derivation trees
-        doc_1 = json.loads(_canonical(derivation.json_ready()))
-        doc_2 = upgrade(doc_1)
-        assert doc_2["schema"] == EXPLAIN_SCHEMA_2
-        back = downgrade(doc_2)
-        assert _canonical(back) == _canonical(doc_1)
+        # append -> rebuild reproduces the repro-explain/1 canonical
+        # bytes exactly, for arbitrary derivation trees
+        bundle = _round_trip(derivation)
+        back = _rebuilt(bundle, derivation)
+        assert _canonical(back.json_ready()) == _canonical(derivation.json_ready())
 
     @settings(max_examples=60, deadline=None)
     @given(_derivations)
     def test_fingerprint_is_invariant_under_the_bridge(self, derivation):
-        doc_2 = upgrade(derivation.json_ready())
-        decoded = decode_derivation(doc_2)
-        assert decoded.fingerprint() == derivation.fingerprint()
+        bundle = _round_trip(derivation)
+        assert _rebuilt(bundle, derivation).fingerprint() == derivation.fingerprint()
 
     @settings(max_examples=40, deadline=None)
     @given(_derivations)
     def test_node_fingerprint_equals_stored_ref(self, derivation):
-        # the fingerprint function and the store must agree: the /2 root
-        # ref is exactly node_fingerprint of the root
-        doc_2 = encode_derivation(derivation)
-        assert doc_2["root"] == node_fingerprint(derivation.root)
-        for ref, payload in doc_2["nodes"].items():
-            rebuilt = node_from_table(doc_2["nodes"], ref)
-            assert node_fingerprint(rebuilt) == ref
+        # every ref is the SHA-256 of its canonical payload, and every
+        # entry rebuilds to a subtree that re-appends under the same ref
+        bundle = _round_trip(derivation)
+        for ref, payload in bundle.nodes.items():
+            digest = hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
+            assert digest == ref
+            node_from_table(bundle.nodes, ref)
+        assert bundle.leaves[0]["root_ref"] in bundle.nodes
 
-    def test_upgrade_passes_v2_through(self):
-        doc_2 = encode_derivation(wide_derivation())
-        assert upgrade(doc_2) == doc_2
+    def test_upgrade_passes_v2_through(self, tmp_path):
+        # a resumed writer adopts the streamed table: the same
+        # derivation appended after reopening streams no node records
+        path = tmp_path / "s.audit"
+        _bundle_of(tmp_path, wide_derivation())
+        before = _node_records(path)
+        AuditBundleWriter(path).append(1, _task(1), _row(1), wide_derivation())
+        assert _node_records(path) == before
 
-    def test_downgrade_passes_v1_through(self):
+    def test_downgrade_passes_v1_through(self, tmp_path):
+        # a repro-explain/1 document is what tracediff still reads
         doc_1 = wide_derivation().json_ready()
-        assert downgrade(doc_1) == doc_1
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc_1, sort_keys=True) + "\n")
+        kind, payload = load_artifact(str(path))
+        assert kind == "explain"
+        assert payload.json_ready() == doc_1
 
 
 class TestHashConsing:
-    def test_shared_subtrees_stored_once(self):
-        doc_2 = encode_derivation(wide_derivation(copies=6))
+    def test_shared_subtrees_stored_once(self, tmp_path):
+        bundle = _bundle_of(tmp_path, wide_derivation(copies=6))
         # root + shared cell + its prop leaf: 3 distinct subtrees,
         # though the tree form writes the cell and leaf 6 times each
-        assert len(doc_2["nodes"]) == 3
+        assert len(bundle.nodes) == 3
+        assert len(_node_records(tmp_path / "s.audit")) == 3
 
-    def test_store_counts_added_and_deduped(self):
-        store = DerivationStore()
-        store.add(wide_derivation(copies=6).root)
-        assert store.nodes_added == 3
-        # 5 repeated cells, each also answering for its leaf child
-        assert store.nodes_deduped == 10
+    def test_store_counts_added_and_deduped(self, tmp_path):
+        # a second append of the same derivation streams no node records
+        path = tmp_path / "s.audit"
+        writer = AuditBundleWriter(path)
+        writer.append(0, _task(0), _row(0), wide_derivation(copies=6))
+        assert len(_node_records(path)) == 3
+        writer.append(1, _task(1), _row(1), wide_derivation(copies=6))
+        assert len(_node_records(path)) == 3
+        bundle = read_audit_bundle(path)
+        assert bundle.leaves[0]["root_ref"] == bundle.leaves[1]["root_ref"]
 
-    def test_encoding_wins_on_wide_derivations(self):
+    def test_encoding_wins_on_wide_derivations(self, tmp_path):
         derivation = wide_derivation(copies=6)
-        assert encoded_size(encode_derivation(derivation)) < encoded_size(
-            derivation.json_ready()
-        )
+        bundle = _bundle_of(tmp_path, derivation)
+        table_bytes = sum(len(_canonical(payload)) for payload in bundle.nodes.values())
+        assert table_bytes < len(_canonical(derivation.json_ready()))
 
-    def test_encode_many_shares_across_derivations(self):
+    def test_encode_many_shares_across_derivations(self, tmp_path):
+        # two rows sharing a subtree stream it once
         first = wide_derivation(copies=2)
         second = wide_derivation(copies=3)
-        store = DerivationStore()
-        doc = store.encode_many([first, second])
-        separate = sum(
-            len(encode_derivation(d)["nodes"]) for d in (first, second)
-        )
-        assert len(doc["nodes"]) < separate
-        assert [entry["root"] for entry in doc["roots"]] == [
-            node_fingerprint(first.root),
-            node_fingerprint(second.root),
-        ]
-        decoded = decode_derivations(doc)
-        assert [d.fingerprint() for d in decoded] == [
-            first.fingerprint(),
-            second.fingerprint(),
-        ]
+        bundle = _bundle_of(tmp_path, first, second)
+        # first: root, cell, prop; second: only its own root
+        assert len(bundle.nodes) == 4
+        assert [
+            _rebuilt(bundle, d, position).fingerprint()
+            for position, d in enumerate((first, second))
+        ] == [first.fingerprint(), second.fingerprint()]
 
 
 class TestMalformedDocuments:
-    def test_dangling_reference_is_an_error(self):
-        doc_2 = encode_derivation(wide_derivation())
-        del doc_2["nodes"][doc_2["root"]]
+    def test_dangling_reference_is_an_error(self, tmp_path):
+        bundle = _bundle_of(tmp_path, wide_derivation())
+        root_ref = bundle.leaves[0]["root_ref"]
+        del bundle.nodes[root_ref]
         with pytest.raises(ProvenanceError):
-            decode_derivation(doc_2)
+            node_from_table(bundle.nodes, root_ref)
 
-    def test_missing_field_is_an_error(self):
-        doc_2 = encode_derivation(wide_derivation())
-        del doc_2["nodes"][doc_2["root"]]["rule"]
+    def test_missing_field_is_an_error(self, tmp_path):
+        bundle = _bundle_of(tmp_path, wide_derivation())
+        root_ref = bundle.leaves[0]["root_ref"]
+        del bundle.nodes[root_ref]["rule"]
         with pytest.raises(ProvenanceError):
-            decode_derivation(doc_2)
+            node_from_table(bundle.nodes, root_ref)
 
-    def test_non_reference_children_are_an_error(self):
-        doc_2 = encode_derivation(wide_derivation())
-        doc_2["nodes"][doc_2["root"]]["children"] = [42]
+    def test_non_reference_children_are_an_error(self, tmp_path):
+        bundle = _bundle_of(tmp_path, wide_derivation())
+        root_ref = bundle.leaves[0]["root_ref"]
+        bundle.nodes[root_ref]["children"] = [42]
         with pytest.raises(ProvenanceError):
-            decode_derivation(doc_2)
+            node_from_table(bundle.nodes, root_ref)
 
-    def test_unknown_schema_is_an_error(self):
-        with pytest.raises(ProvenanceError):
-            decode_derivation({"schema": "repro-explain/9"})
+    def test_reference_cycle_is_an_error(self, tmp_path):
+        bundle = _bundle_of(tmp_path, wide_derivation())
+        root_ref = bundle.leaves[0]["root_ref"]
+        bundle.nodes[root_ref]["children"] = [root_ref]
+        with pytest.raises(ProvenanceError, match="cycle"):
+            node_from_table(bundle.nodes, root_ref)
 
-    def test_multi_root_document_points_at_decode_derivations(self):
-        doc = DerivationStore().encode_many([wide_derivation()])
-        with pytest.raises(ProvenanceError, match="decode_derivations"):
-            decode_derivation(doc)
+    def test_unknown_schema_is_an_error(self, tmp_path):
+        # the header's explain_schema is part of the genesis: a bundle
+        # naming another node-table encoding is never extended
+        header = header_record()
+        assert header["explain_schema"] == "repro-explain/2"
+        header["explain_schema"] = "repro-explain/9"
+        path = tmp_path / "s.audit"
+        path.write_text(json.dumps(header, sort_keys=True) + "\n")
+        with pytest.raises(AuditError):
+            AuditBundleWriter(path)
 
-    def test_decode_accepts_both_schemas(self):
+    def test_multi_root_document_points_at_decode_derivations(self, tmp_path, capsys):
+        # standalone multi-root repro-explain/2 documents are retired
+        bundle = _bundle_of(tmp_path, wide_derivation())
+        document = {
+            "schema": "repro-explain/2",
+            "roots": [{"root": bundle.leaves[0]["root_ref"]}],
+            "nodes": bundle.nodes,
+        }
+        path = tmp_path / "dag.json"
+        path.write_text(json.dumps(document, sort_keys=True) + "\n")
+        with pytest.raises(TraceError, match="repro-explain/2"):
+            load_artifact(str(path))
+        assert tracediff_main([str(path), str(path)]) == 2
+        assert "repro-explain/2" in capsys.readouterr().err
+
+    def test_decode_accepts_both_schemas(self, tmp_path):
+        # /1 still loads; a single-root /2 document is rejected by name
         derivation = wide_derivation()
-        from_1 = decode_derivation(derivation.json_ready())
-        from_2 = decode_derivation(encode_derivation(derivation))
-        assert from_1.fingerprint() == from_2.fingerprint()
-        assert from_1.json_ready()["schema"] == EXPLAIN_SCHEMA
+        bundle = _bundle_of(tmp_path, derivation)
+        doc_1 = tmp_path / "d1.json"
+        doc_1.write_text(json.dumps(derivation.json_ready(), sort_keys=True))
+        kind, payload = load_artifact(str(doc_1))
+        assert kind == "explain"
+        assert payload.json_ready()["schema"] == EXPLAIN_SCHEMA
+        assert payload.fingerprint() == _rebuilt(bundle, derivation).fingerprint()
+        doc_2 = tmp_path / "d2.json"
+        doc_2.write_text(
+            json.dumps(
+                {
+                    "schema": "repro-explain/2",
+                    "root": bundle.leaves[0]["root_ref"],
+                    "nodes": bundle.nodes,
+                },
+                sort_keys=True,
+            )
+        )
+        with pytest.raises(TraceError, match="repro-explain/2"):
+            load_artifact(str(doc_2))

@@ -291,6 +291,20 @@ def test_rl002_intra_package_init_exempt(tmp_path):
     assert "RL002" not in [v.rule_id for v in violations]
 
 
+def test_rl002_layer_tables_name_only_existing_modules():
+    # A module deleted from src/repro must leave the layer tables too.
+    from tools.reprolint.rules.rl002_layering import INTRA_LAYERS, LAYERS
+
+    package = REPO_ROOT / "src" / "repro"
+    for name in LAYERS:
+        assert (package / name).is_dir() or (package / f"{name}.py").is_file(), name
+    for subpackage, modules in INTRA_LAYERS.items():
+        for name in modules:
+            assert (package / subpackage / f"{name}.py").is_file(), (
+                f"{subpackage}.{name}"
+            )
+
+
 # ----------------------------------------------------------------------
 # RL003 paper traceability
 # ----------------------------------------------------------------------

@@ -309,33 +309,37 @@ class TestExplainV2AndAuditDiff:
         path.write_text(json.dumps(document, sort_keys=True) + "\n")
         return path
 
-    def test_v1_and_v2_encodings_of_one_derivation_collide(self, tmp_path):
-        from repro.obs import encode_derivation
-
+    def test_v1_and_v2_encodings_of_one_derivation_collide(self, tmp_path, capsys):
+        # repro-explain/1 still diffs; the retired single-root /2
+        # document is a schema error that names the schema (exit 2)
         derivation = row_provenance_derivation(build_ca2(2, Fraction(1, 2)))
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         write_derivation(derivation, a)
-        self._write_json(b, encode_derivation(derivation))
-        summary = diff_artifacts(str(a), str(b))
+        self._write_json(
+            b, {"schema": "repro-explain/2", "root": "0" * 64, "nodes": {}}
+        )
+        summary = diff_artifacts(str(a), str(a))
         assert summary["kind"] == "explain"
         assert summary["diverged"] is False
+        with pytest.raises(TraceError, match="repro-explain/2"):
+            diff_artifacts(str(a), str(b))
+        assert cli_main([str(a), str(b)]) == 2
+        assert "repro-explain/2" in capsys.readouterr().err
 
-    def test_explain_dag_roots_compared_by_membership(self, tmp_path):
-        from repro.obs import DerivationStore
+    def test_explain_dag_roots_compared_by_membership(self, tmp_path, capsys):
+        # multi-root /2 sweep explains are retired too, for diff and bisect
+        from tools.tracediff import bisect_artifacts
 
-        first = row_provenance_derivation(build_ca2(2, Fraction(1, 2)))
-        second = row_provenance_derivation(build_ca2(3, Fraction(1, 2)))
         a = self._write_json(
-            tmp_path / "a.json", DerivationStore().encode_many([first, second])
+            tmp_path / "a.json",
+            {"schema": "repro-explain/2", "roots": [], "nodes": {}},
         )
-        b = self._write_json(
-            tmp_path / "b.json", DerivationStore().encode_many([first])
-        )
-        summary = diff_artifacts(str(a), str(b))
-        assert summary["kind"] == "explain-dag"
-        assert summary["diverged"] is True
-        assert len(summary["only_in_a"]) == 1
-        assert summary["only_in_b"] == []
+        with pytest.raises(TraceError, match="repro-explain/2"):
+            diff_artifacts(str(a), str(a))
+        with pytest.raises(TraceError, match="repro-explain/2"):
+            bisect_artifacts(str(a), str(a))
+        assert cli_main(["--bisect", str(a), str(a)]) == 2
+        assert "repro-explain/2" in capsys.readouterr().err
 
     def _audited_sweep(self, tmp_path, name):
         from repro.robustness import default_audit_path, robust_guarantee_sweep
@@ -415,6 +419,41 @@ class TestBisect:
         summary = bisect_artifacts(str(a), str(b))
         assert summary["diverged"] is True
         assert "formula" in summary["pointer"]
+
+    def test_explain_bisect_walks_the_tree_to_the_node(self, tmp_path):
+        from tools.tracediff import bisect_artifacts
+
+        from repro.obs import Derivation, DerivationNode
+
+        def derivation(last_holds):
+            leaves = tuple(
+                DerivationNode(
+                    rule="cell",
+                    formula="coord",
+                    point=None,
+                    holds=holds,
+                    definition="Section 5",
+                )
+                for holds in (True, last_holds)
+            )
+            root = DerivationNode(
+                rule="knows",
+                formula="K0 coord",
+                point=None,
+                holds=True,
+                definition="Section 5",
+                children=leaves,
+            )
+            return Derivation(
+                assignment="post", formula="K0 coord", point=None, root=root
+            )
+
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        write_derivation(derivation(True), a)
+        write_derivation(derivation(False), b)
+        summary = bisect_artifacts(str(a), str(b))
+        assert summary["diverged"] is True
+        assert summary["pointer"] == "root.children[1].holds"
 
     def test_audit_bisect_recomputes_content_chains(self, tmp_path):
         from tools.tracediff import bisect_artifacts

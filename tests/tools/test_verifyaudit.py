@@ -9,6 +9,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
+from repro.obs import read_audit_bundle  # noqa: E402
 from repro.robustness import default_audit_path, robust_guarantee_sweep  # noqa: E402
 
 from tools.verifyaudit import (  # noqa: E402
@@ -119,6 +120,32 @@ class TestHelpers:
         assert [leaf["index"] for leaf in first] == [0, 3, 6]
 
 
+def rewrite_first_record(audit_path, match, edit):
+    """Apply ``edit`` in place to the first record ``match`` accepts."""
+    lines = audit_path.read_text().splitlines()
+    for position, line in enumerate(lines):
+        record = json.loads(line)
+        if match(record):
+            edit(record)
+            lines[position] = json.dumps(record, sort_keys=True)
+            break
+    audit_path.write_text("\n".join(lines) + "\n")
+
+
+class TestCyclicNodeTable:
+    def test_reference_cycle_is_a_replay_defect(self, tmp_path):
+        _checkpoint, audit_path = make_audited_sweep(tmp_path)
+        root_ref = read_audit_bundle(audit_path).leaves[0]["root_ref"]
+        rewrite_first_record(
+            audit_path,
+            lambda record: record.get("ref") == root_ref,
+            lambda record: record["node"].update(children=[root_ref]),
+        )
+        report = verify_audit(str(audit_path))
+        assert report["verdict"] == "divergent"
+        assert any("cycle" in defect for defect in report["replay_defects"])
+
+
 class TestCli:
     def test_clean_bundle_exits_0(self, tmp_path, capsys):
         _checkpoint, audit_path = make_audited_sweep(tmp_path)
@@ -141,6 +168,16 @@ class TestCli:
         path.write_text('{"type": "header", "schema": "repro-trace/1"}\n')
         assert cli_main([str(path)]) == 2
         assert "verifyaudit:" in capsys.readouterr().err
+
+    def test_non_integer_leaf_index_exits_2(self, tmp_path, capsys):
+        _checkpoint, audit_path = make_audited_sweep(tmp_path)
+        rewrite_first_record(
+            audit_path,
+            lambda record: record.get("type") == "leaf",
+            lambda record: record.update(index="zero"),
+        )
+        assert cli_main([str(audit_path)]) == 2
+        assert "leaf index" in capsys.readouterr().err
 
     def test_json_report_round_trips(self, tmp_path, capsys):
         _checkpoint, audit_path = make_audited_sweep(tmp_path)

@@ -14,19 +14,19 @@ Two hash structures make the binary search sound:
   chain, and equal chain values at a position prove the whole prefixes
   equal -- so the first diverging record is found by binary search over
   chain positions, O(log n) probes.
-* **Merkle artifacts** (``repro-explain/2``, ``repro-audit/1``): the
-  hashes are already in the artifact.  An audit bundle's ``chain``
-  column is binary-searched the same way, and a derivation DAG is
-  descended fingerprint-first -- equal child refs prove subtrees equal
-  without visiting them, so the walk touches one root-to-divergence
-  path and skips every shared subtree
+* **Audit bundles** (``repro-audit/1``): the hashes are already in the
+  artifact.  The bundle's ``chain`` column is binary-searched the same
+  way, and the diverging leaves' derivations are descended
+  fingerprint-first through the node tables -- equal child refs prove
+  subtrees equal without visiting them, so the walk touches one
+  root-to-divergence path and skips every shared subtree
   (:func:`tools.tracediff.diff.dag_divergence`).
 
-``repro-explain/1`` trees and single-root ``/2`` documents are
-hash-consed on the fly before descending, so ``--bisect`` accepts the
-same artifact kinds as the plain diff -- except ``repro-bench/2``
-reports, which are keyed by benchmark name, not sequenced, and have
-nothing to bisect.
+``repro-explain/1`` trees carry no hashes below the root; they are
+walked in parallel to the first diverging node, as the plain diff does.
+``--bisect`` accepts the same artifact kinds as the plain diff --
+except ``repro-bench/2`` reports, which are keyed by benchmark name,
+not sequenced, and have nothing to bisect.
 """
 
 from __future__ import annotations
@@ -37,13 +37,11 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import TraceError
 from repro.obs.audit import AuditBundle
-from repro.obs.derivstore import DerivationStore
 from repro.obs.provenance import Derivation
 
 from .diff import (
     _record_summary,
-    dag_divergence,
-    diff_explain_dag,
+    diff_derivations,
     leaf_divergence,
     load_artifact,
     normalize_record,
@@ -141,60 +139,13 @@ def _bisect_records(
 
 
 def _bisect_derivations(a: Derivation, b: Derivation) -> Dict[str, Any]:
-    # Hash-consing on the fly turns the two trees into node tables the
-    # fingerprint descent can skip shared subtrees of.
-    store_a = DerivationStore()
-    store_b = DerivationStore()
-    ref_a = store_a.add(a.root)
-    ref_b = store_b.add(b.root)
-    summary: Dict[str, Any] = {
-        "kind": "explain",
-        "mode": "bisect",
-        "fingerprint_a": a.fingerprint(),
-        "fingerprint_b": b.fingerprint(),
-        "nodes_a": len(store_a),
-        "nodes_b": len(store_b),
-        "diverged": False,
-        "pointer": None,
-        "first_divergence": None,
-        "shared_subtrees_skipped": 0,
-    }
-    for field_name in ("assignment", "formula", "point"):
-        value_a = getattr(a, field_name)
-        value_b = getattr(b, field_name)
-        if value_a != value_b:
-            summary["diverged"] = True
-            summary["pointer"] = field_name
-            summary["first_divergence"] = {
-                "path": field_name,
-                "field": field_name,
-                "a": value_a,
-                "b": value_b,
-            }
-            return summary
-    divergence, skipped = dag_divergence(
-        store_a.table(), store_b.table(), ref_a, ref_b
-    )
-    summary["shared_subtrees_skipped"] = skipped
-    if divergence is not None:
-        summary["diverged"] = True
-        summary["pointer"] = f"{divergence['path']}.{divergence['field']}"
-        summary["first_divergence"] = divergence
-    return summary
-
-
-def _bisect_explain_dag(
-    doc_a: Mapping[str, Any], doc_b: Mapping[str, Any]
-) -> Dict[str, Any]:
-    summary = diff_explain_dag(doc_a, doc_b)
+    summary = diff_derivations(a, b)
     summary["mode"] = "bisect"
-    divergence = summary.get("first_divergence")
-    if divergence is None:
-        summary["pointer"] = None
-    elif divergence.get("path"):
-        summary["pointer"] = f"{divergence['path']}.{divergence['field']}"
-    else:
-        summary["pointer"] = "roots"
+    summary["pointer"] = None
+    divergence = summary["first_divergence"]
+    if divergence is not None:
+        path, field_name = divergence["path"], divergence["field"]
+        summary["pointer"] = path if path == field_name else f"{path}.{field_name}"
     return summary
 
 
@@ -293,8 +244,6 @@ def bisect_artifacts(path_a: str, path_b: str) -> Dict[str, Any]:
         summary = _bisect_records(kind_a, payload_a, payload_b)
     elif kind_a == "explain":
         summary = _bisect_derivations(payload_a, payload_b)
-    elif kind_a == "explain-dag":
-        summary = _bisect_explain_dag(payload_a, payload_b)
     else:
         summary = _bisect_audit(payload_a, payload_b)
     summary["a"] = path_a

@@ -18,7 +18,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ProvenanceError, TraceError
 from repro.obs.audit import AUDIT_SCHEMA, AuditBundle, read_audit_bundle
-from repro.obs.derivstore import EXPLAIN_SCHEMA_2, decode_derivation
 from repro.obs.provenance import (
     EXPLAIN_SCHEMA,
     Derivation,
@@ -34,7 +33,6 @@ __all__ = [
     "diff_audit",
     "diff_bench",
     "diff_derivations",
-    "diff_explain_dag",
     "diff_metrics",
     "diff_traces",
     "load_artifact",
@@ -81,10 +79,8 @@ def load_artifact(path: str) -> Tuple[str, Any]:
 
     Returns ``(kind, payload)`` where ``kind`` is ``"trace"`` (payload: a
     record list from :func:`repro.obs.trace.read_trace`), ``"explain"``
-    (payload: a :class:`~repro.obs.provenance.Derivation`, from either
-    ``repro-explain/1`` or a single-root ``repro-explain/2`` document),
-    ``"explain-dag"`` (payload: a multi-root ``repro-explain/2``
-    document, kept in table form), ``"audit"`` (payload: an
+    (payload: a :class:`~repro.obs.provenance.Derivation` from a
+    ``repro-explain/1`` document), ``"audit"`` (payload: an
     :class:`~repro.obs.audit.AuditBundle`), ``"bench"``
     (payload: the decoded ``repro-bench/2`` document), or ``"metrics"``
     (payload: a record list from :func:`repro.obs.snapshot.read_snapshots`).
@@ -102,10 +98,6 @@ def load_artifact(path: str) -> Tuple[str, Any]:
         schema = document.get("schema")
         if schema == EXPLAIN_SCHEMA:
             return "explain", derivation_from_json(document)
-        if schema == EXPLAIN_SCHEMA_2:
-            if "roots" in document:
-                return "explain-dag", document
-            return "explain", decode_derivation(document)
         if schema == AUDIT_SCHEMA and document.get("type") == "header":
             # A header-only bundle: an audited sweep that was killed
             # before its first leaf.  Still a valid (empty) bundle.
@@ -125,8 +117,7 @@ def load_artifact(path: str) -> Tuple[str, Any]:
         raise TraceError(
             f"{path!r}: unrecognised artifact schema {schema!r} "
             f"(expected {TRACE_SCHEMA!r}, {EXPLAIN_SCHEMA!r}, "
-            f"{EXPLAIN_SCHEMA_2!r}, {AUDIT_SCHEMA!r}, "
-            f"{BENCH_SCHEMA!r}, or {METRICS_SCHEMA!r})"
+            f"{AUDIT_SCHEMA!r}, {BENCH_SCHEMA!r}, or {METRICS_SCHEMA!r})"
         )
     # Multi-line JSONL: the header's schema field says which stream it is.
     first_line = next((line for line in text.splitlines() if line.strip()), "")
@@ -334,7 +325,7 @@ def _embedded_derivation(record: Mapping[str, Any]) -> Optional[Derivation]:
 
 
 # ----------------------------------------------------------------------
-# Hash-consed DAG diff (repro-explain/2, and audit-bundle node tables)
+# Hash-consed DAG diff (audit-bundle node tables)
 # ----------------------------------------------------------------------
 
 #: Node-payload fields compared during fingerprint-guided descent, in
@@ -351,7 +342,7 @@ def dag_divergence(
     """Fingerprint-guided descent to the first diverging DAG node.
 
     The hash-consed counterpart of :func:`_node_divergence`: because a
-    ``repro-explain/2`` fingerprint commits to its whole subtree, equal
+    node-table fingerprint commits to its whole subtree, equal
     child refs prove the subtrees identical without visiting them, and
     the walk descends only into the leftmost child whose refs differ --
     one root-to-divergence path instead of a full tree comparison.
@@ -430,71 +421,6 @@ def dag_divergence(
             )
         position, ref_a, ref_b = descend
         path = f"{path}.children[{position}]"
-
-
-def _dag_root_key(entry: Mapping[str, Any]) -> str:
-    return json.dumps(
-        {
-            "assignment": entry.get("assignment"),
-            "formula": entry.get("formula"),
-            "point": entry.get("point"),
-        },
-        sort_keys=True,
-    )
-
-
-def diff_explain_dag(
-    doc_a: Mapping[str, Any], doc_b: Mapping[str, Any]
-) -> Dict[str, Any]:
-    """Compare two multi-root ``repro-explain/2`` documents (sweep explains).
-
-    Roots align on (assignment, formula, point); a shared root diverges
-    exactly when its fingerprints differ (the Merkle property), and the
-    first diverging root is localised by fingerprint-guided descent --
-    shared subtrees are skipped wholesale, never re-compared.
-    """
-    roots_a = {_dag_root_key(entry): entry for entry in doc_a.get("roots", [])}
-    roots_b = {_dag_root_key(entry): entry for entry in doc_b.get("roots", [])}
-    only_a = sorted(set(roots_a) - set(roots_b))
-    only_b = sorted(set(roots_b) - set(roots_a))
-    diverging = [
-        key
-        for key in sorted(set(roots_a) & set(roots_b))
-        if roots_a[key].get("root") != roots_b[key].get("root")
-    ]
-    summary: Dict[str, Any] = {
-        "kind": "explain-dag",
-        "roots_a": len(roots_a),
-        "roots_b": len(roots_b),
-        "nodes_a": len(doc_a.get("nodes", {})),
-        "nodes_b": len(doc_b.get("nodes", {})),
-        "only_in_a": only_a,
-        "only_in_b": only_b,
-        "diverging_roots": len(diverging),
-        "diverged": bool(diverging or only_a or only_b),
-        "first_divergence": None,
-        "shared_subtrees_skipped": 0,
-    }
-    if diverging:
-        key = diverging[0]
-        divergence, skipped = dag_divergence(
-            doc_a.get("nodes", {}),
-            doc_b.get("nodes", {}),
-            roots_a[key]["root"],
-            roots_b[key]["root"],
-        )
-        if divergence is not None:
-            divergence["root"] = json.loads(key)
-        summary["first_divergence"] = divergence
-        summary["shared_subtrees_skipped"] = skipped
-    elif only_a or only_b:
-        summary["first_divergence"] = {
-            "field": "roots",
-            "root": json.loads((only_a + only_b)[0]),
-            "a": (only_a + only_b)[0] in set(roots_a),
-            "b": (only_a + only_b)[0] in set(roots_b),
-        }
-    return summary
 
 
 # ----------------------------------------------------------------------
@@ -939,8 +865,6 @@ def diff_artifacts(path_a: str, path_b: str) -> Dict[str, Any]:
         summary = diff_traces(payload_a, payload_b)
     elif kind_a == "explain":
         summary = diff_derivations(payload_a, payload_b)
-    elif kind_a == "explain-dag":
-        summary = diff_explain_dag(payload_a, payload_b)
     elif kind_a == "audit":
         summary = diff_audit(payload_a, payload_b)
     elif kind_a == "metrics":
@@ -1013,24 +937,6 @@ def render_diff(summary: Mapping[str, Any]) -> str:
             lines.append(
                 f"first diverging derivation node: {node.get('path')} "
                 f"[{node.get('field')}]: {node.get('a')!r} vs {node.get('b')!r}"
-            )
-        else:
-            lines.append("first divergence: none")
-    elif kind == "explain-dag":
-        lines.append(
-            f"roots: {summary['roots_a']} vs {summary['roots_b']} "
-            f"({summary['diverging_roots']} diverging); "
-            f"nodes: {summary['nodes_a']} vs {summary['nodes_b']}"
-        )
-        for side, keys in (("A", summary["only_in_a"]), ("B", summary["only_in_b"])):
-            if keys:
-                lines.append(f"roots only in {side}: {len(keys)}")
-        node = summary.get("first_divergence")
-        if node is not None:
-            lines.append(
-                f"first diverging derivation node: {node.get('path')} "
-                f"[{node.get('field')}] "
-                f"({summary['shared_subtrees_skipped']} shared subtree(s) skipped)"
             )
         else:
             lines.append("first divergence: none")

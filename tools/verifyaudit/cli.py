@@ -20,7 +20,7 @@ def build_parser() -> argparse.ArgumentParser:
             "recomputing the sweep it certifies: recompute the hash "
             "chain and every derivation-node fingerprint, cross-check "
             "leaf payloads against the sweep checkpoint, and replay "
-            "audit_derivation over the recorded repro-explain/2 DAGs."
+            "audit_derivation over the bundle's derivation node table."
         ),
     )
     parser.add_argument("bundle", help="repro-audit/1 bundle (JSONL)")
